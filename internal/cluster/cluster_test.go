@@ -2,11 +2,8 @@ package cluster_test
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 
@@ -64,60 +61,6 @@ func startLocal(t *testing.T, tr *dmesh.Terrain, shards int) *cluster.LocalClust
 	}
 	t.Cleanup(lc.Close)
 	return lc
-}
-
-// canonicalMesh serializes a result into one deterministic byte string:
-// vertices sorted by ID, edges low-high then sorted, triangles in canon
-// rotation then sorted. Two results with equal canonical bytes are the
-// same mesh — the test's "byte-identical" is literal.
-func canonicalMesh(res *dm.Result) []byte {
-	var buf bytes.Buffer
-	ids := make([]int64, 0, len(res.Vertices))
-	for id := range res.Vertices {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		p := res.Vertices[id]
-		binary.Write(&buf, binary.LittleEndian, id)
-		binary.Write(&buf, binary.LittleEndian, math.Float64bits(p.X))
-		binary.Write(&buf, binary.LittleEndian, math.Float64bits(p.Y))
-		binary.Write(&buf, binary.LittleEndian, math.Float64bits(p.Z))
-	}
-	edges := make([][2]int64, 0, len(res.Edges))
-	for _, e := range res.Edges {
-		if e[0] > e[1] {
-			e[0], e[1] = e[1], e[0]
-		}
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
-	for _, e := range edges {
-		binary.Write(&buf, binary.LittleEndian, e)
-	}
-	tris := make([]geom.Triangle, 0, len(res.Triangles))
-	for _, tr := range res.Triangles {
-		tris = append(tris, tr.Canon())
-	}
-	sort.Slice(tris, func(i, j int) bool {
-		a, b := tris[i], tris[j]
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		if a.B != b.B {
-			return a.B < b.B
-		}
-		return a.C < b.C
-	})
-	for _, tr := range tris {
-		binary.Write(&buf, binary.LittleEndian, [3]int64{tr.A, tr.B, tr.C})
-	}
-	return buf.Bytes()
 }
 
 func randRects(rng *rand.Rand, n int) []geom.Rect {
@@ -232,7 +175,7 @@ func TestClusterExactAgainstSingleNode(t *testing.T) {
 			if st.SnappedE != qs.SnappedE {
 				t.Fatalf("%s: snapped %g vs single node %g", label, st.SnappedE, qs.SnappedE)
 			}
-			if !bytes.Equal(canonicalMesh(got), canonicalMesh(want)) {
+			if !bytes.Equal(dm.CanonicalMesh(got), dm.CanonicalMesh(want)) {
 				t.Fatalf("%s: cluster mesh differs from single node (%d vs %d vertices)",
 					label, len(got.Vertices), len(want.Vertices))
 			}
@@ -275,7 +218,7 @@ func TestClusterExactWithShardDown(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(canonicalMesh(got), canonicalMesh(want)) {
+			if !bytes.Equal(dm.CanonicalMesh(got), dm.CanonicalMesh(want)) {
 				t.Fatalf("%s: wrong answer with shard down", label)
 			}
 			if st.Attempts > st.Tiles*2 {
@@ -330,7 +273,7 @@ func TestFailoverMidHotSpot(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want[r] = canonicalMesh(res)
+				want[r] = dm.CanonicalMesh(res)
 			}
 		}
 	}
@@ -365,7 +308,7 @@ func TestFailoverMidHotSpot(t *testing.T) {
 						t.Errorf("%s: client %d: query failed: %v", phase, ci, err)
 						return
 					}
-					if !bytes.Equal(canonicalMesh(res), want[r]) {
+					if !bytes.Equal(dm.CanonicalMesh(res), want[r]) {
 						t.Errorf("%s: client %d: WRONG ANSWER for %v", phase, ci, r)
 						return
 					}

@@ -80,7 +80,7 @@ func TestRouterStreamMatchesSingleNode(t *testing.T) {
 		if derr != nil {
 			t.Fatal(derr)
 		}
-		if !bytes.Equal(canonicalMesh(res), canonicalMesh(direct)) {
+		if !bytes.Equal(dm.CanonicalMesh(res), dm.CanonicalMesh(direct)) {
 			t.Fatal("Stream's returned mesh differs from the direct query answer")
 		}
 	}
@@ -196,7 +196,7 @@ func TestFailoverTruncatedBodies(t *testing.T) {
 		if derr != nil {
 			t.Fatal(derr)
 		}
-		if !bytes.Equal(canonicalMesh(res), canonicalMesh(direct)) {
+		if !bytes.Equal(dm.CanonicalMesh(res), dm.CanonicalMesh(direct)) {
 			t.Fatal("answer assembled around truncating shards differs from single node")
 		}
 		if st.Redirected > maxRedirect {

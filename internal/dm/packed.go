@@ -3,12 +3,12 @@ package dm
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 
 	"dmesh/internal/geom"
 	"dmesh/internal/pm"
 	"dmesh/internal/storage/heapfile"
+	"dmesh/internal/wire"
 )
 
 // Packed record encoding (LayoutPacked, store format v4): the same node
@@ -39,10 +39,9 @@ import (
 // Escape rules: pm.None (-1) topology references are never delta-coded —
 // their presence bit is simply clear. ELow +0.0 (the majority: every
 // leaf) and EHigh +Inf (every root) cost 0 bytes. A float is dyadic when
-// value*2^12 is an integer whose round-trip through float64 restores the
-// exact bit pattern — true for the grid coordinates i/2^k and their
-// collapse midpoints, never true for NaN (any payload), infinities, or
-// -0.0, which all take the raw 8-byte path.
+// wire.DyadicIndex has one — true for the grid coordinates i/2^k and
+// their collapse midpoints, never true for NaN (any payload),
+// infinities, or -0.0, which all take the raw 8-byte path.
 const (
 	pkParent = 1 << iota
 	pkChild1
@@ -61,18 +60,6 @@ const (
 	pkReserved = 0xE000
 )
 
-// dyadicShift scales the dyadic fast path: v is storable as an integer
-// grid index when v*2^12 round-trips exactly. 2^12 captures the terrain
-// grids (i/2^k for sizes 2^k+1) and several collapse-midpoint levels
-// while keeping indices of unit-square coordinates at 2-byte varints.
-const (
-	dyadicShift = 12
-	dyadicScale = float64(int64(1) << dyadicShift)
-	// dyadicMaxM bounds the stored index so its varint never exceeds 6
-	// bytes (beyond that raw 8-byte floats are as small and simpler).
-	dyadicMaxM = int64(1) << 41
-)
-
 // maxPackedConn is the sanity bound on a packed record's connection
 // count: far above any real valence (the paper's average total list is
 // 840 at 17M points), far below anything that could wedge a decoder fed
@@ -84,48 +71,6 @@ const maxPackedConn = 1 << 32
 // position detail — instead of panicking, matching the bounded-descent
 // discipline of the rtree/btree corruption handling.
 var ErrCorrupt = errors.New("dm: corrupt record")
-
-// zigzag maps signed values to unsigned so small magnitudes of either
-// sign take short varints.
-func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// uvarintLen returns how many bytes binary.AppendUvarint emits for v.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// dyadicIndex reports whether v is exactly representable as a dyadic
-// grid index m = v*2^dyadicShift: m must be integral, in range, and
-// float64(m)/2^dyadicShift must restore v's exact bit pattern (which
-// excludes NaNs, infinities, and -0.0 by construction).
-func dyadicIndex(v float64) (int64, bool) {
-	m := v * dyadicScale
-	if m != math.Trunc(m) || m > float64(dyadicMaxM) || m < -float64(dyadicMaxM) {
-		return 0, false
-	}
-	k := int64(m)
-	if math.Float64bits(float64(k)/dyadicScale) != math.Float64bits(v) {
-		return 0, false
-	}
-	return k, true
-}
-
-// DyadicIndex reports whether v is exactly representable on the packed
-// encoding's dyadic grid, and its index m = v*2^12 when it is. The
-// progressive stream codec shares this fast path so quantized wire
-// positions round-trip bit-exactly.
-func DyadicIndex(v float64) (int64, bool) { return dyadicIndex(v) }
-
-// FromDyadicIndex inverts DyadicIndex: the float64 whose dyadic index
-// is m. Exact for every m DyadicIndex can produce.
-func FromDyadicIndex(m int64) float64 { return float64(m) / dyadicScale }
 
 // packedFlags computes the record's presence bitmap and, alongside it,
 // the dyadic indices of the float fields that have one. Encoding and
@@ -148,7 +93,7 @@ func packedFlags(n *Node, overflow bool) (flags uint16, dy [5]int64) {
 			flags |= pkEHighInf
 			continue
 		}
-		if m, ok := dyadicIndex(v); ok {
+		if m, ok := wire.DyadicIndex(v); ok {
 			flags |= dyBits[i]
 			dy[i] = m
 		}
@@ -165,7 +110,7 @@ func packedFlags(n *Node, overflow bool) (flags uint16, dy [5]int64) {
 // pass and the spill split both rely on that.
 func packedRecordLen(n *Node, inline int, overflow bool) int {
 	flags, dy := packedFlags(n, overflow)
-	size := uvarintLen(uint64(n.ID)) + 2
+	size := wire.UvarintLen(uint64(n.ID)) + 2
 	if overflow {
 		size += 8
 	}
@@ -174,7 +119,7 @@ func packedRecordLen(n *Node, inline int, overflow bool) int {
 		switch {
 		case i == 3 && flags&pkELowZero != 0, i == 4 && flags&pkEHighInf != 0:
 		case flags&bit != 0:
-			size += uvarintLen(zigzag(dy[i]))
+			size += wire.UvarintLen(wire.Zigzag(dy[i]))
 		default:
 			size += 8
 		}
@@ -182,13 +127,13 @@ func packedRecordLen(n *Node, inline int, overflow bool) int {
 	refs := [5]int64{n.Parent, n.Child1, n.Child2, n.Wing1, n.Wing2}
 	for i, r := range refs {
 		if flags&(1<<i) != 0 {
-			size += uvarintLen(zigzag(r - n.ID))
+			size += wire.UvarintLen(wire.Zigzag(r - n.ID))
 		}
 	}
-	size += uvarintLen(uint64(len(n.Conn)))
+	size += wire.UvarintLen(uint64(len(n.Conn)))
 	prev := n.ID
 	for _, c := range n.Conn[:inline] {
-		size += uvarintLen(zigzag(c - prev))
+		size += wire.UvarintLen(wire.Zigzag(c - prev))
 		prev = c
 	}
 	return size
@@ -206,7 +151,7 @@ func packedSplit(n *Node) int {
 	inline := 0
 	prev := n.ID
 	for _, c := range n.Conn {
-		l := uvarintLen(zigzag(c - prev))
+		l := wire.UvarintLen(wire.Zigzag(c - prev))
 		if size+l > heapfile.MaxVarRecord {
 			break
 		}
@@ -236,21 +181,21 @@ func encodePackedRecord(n *Node, overflowRef int64, inline int, buf []byte) []by
 		switch {
 		case i == 3 && flags&pkELowZero != 0, i == 4 && flags&pkEHighInf != 0:
 		case flags&dyBits[i] != 0:
-			buf = binary.AppendUvarint(buf, zigzag(dy[i]))
+			buf = binary.AppendUvarint(buf, wire.Zigzag(dy[i]))
 		default:
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			buf = wire.AppendF64(buf, v)
 		}
 	}
 	refs := [5]int64{n.Parent, n.Child1, n.Child2, n.Wing1, n.Wing2}
 	for i, r := range refs {
 		if flags&(1<<i) != 0 {
-			buf = binary.AppendUvarint(buf, zigzag(r-n.ID))
+			buf = binary.AppendUvarint(buf, wire.Zigzag(r-n.ID))
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(n.Conn)))
 	prev := n.ID
 	for _, c := range n.Conn[:inline] {
-		buf = binary.AppendUvarint(buf, zigzag(c-prev))
+		buf = binary.AppendUvarint(buf, wire.Zigzag(c-prev))
 		prev = c
 	}
 	return buf
@@ -258,56 +203,33 @@ func encodePackedRecord(n *Node, overflowRef int64, inline int, buf []byte) []by
 
 // decodePackedRecord decodes one packed record: the node with the inline
 // portion of its connection list, the total connection count, and the
-// overflow chain head (noOverflow when wholly inline). Malformed bytes
-// surface as errors wrapping ErrCorrupt, never panics, and never
-// unbounded allocations — the Conn capacity is bounded by the record's
-// own physical length. arena may be nil.
+// overflow chain head (noOverflow when wholly inline). It accepts
+// exactly the bytes encodePackedRecord emits; anything else surfaces as
+// an error wrapping ErrCorrupt, never a panic, and never an unbounded
+// allocation — the Conn capacity is bounded by the record's own
+// physical length. arena may be nil.
 func decodePackedRecord(buf []byte, arena *connArena) (n Node, connTotal int, overflowRef int64, err error) {
-	off := 0
-	fail := func(what string) error {
-		return fmt.Errorf("dm: packed record: %s at offset %d: %w", what, off, ErrCorrupt)
+	r := wire.NewReader(buf, "dm: packed record", ErrCorrupt)
+	if id := r.Uvarint("node ID"); id > math.MaxInt64 {
+		r.Failf("node ID %d out of range", id)
+	} else {
+		n.ID = int64(id)
 	}
-	readUvarint := func() (uint64, bool) {
-		v, k := binary.Uvarint(buf[off:])
-		if k <= 0 {
-			return 0, false
-		}
-		off += k
-		return v, true
-	}
-	readRaw := func() (uint64, bool) {
-		if off+8 > len(buf) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint64(buf[off:])
-		off += 8
-		return v, true
-	}
-
-	id, ok := readUvarint()
-	if !ok || id > math.MaxInt64 {
-		return Node{}, 0, 0, fail("node ID")
-	}
-	n.ID = int64(id)
-	if off+2 > len(buf) {
-		return Node{}, 0, 0, fail("bitmap")
-	}
-	flags := binary.LittleEndian.Uint16(buf[off:])
-	off += 2
+	flags := uint16(r.Byte("bitmap")) | uint16(r.Byte("bitmap"))<<8
 	if flags&pkReserved != 0 ||
 		flags&(pkELowZero|pkELowDyadic) == pkELowZero|pkELowDyadic ||
 		flags&(pkEHighInf|pkEHighDyadic) == pkEHighInf|pkEHighDyadic {
-		return Node{}, 0, 0, fail("bitmap bits")
+		r.Failf("bitmap bits %#04x", flags)
 	}
 	overflowRef = noOverflow
 	if flags&pkOverflow != 0 {
-		u, ok := readRaw()
-		if !ok {
-			return Node{}, 0, 0, fail("overflow head")
+		if overflowRef = int64(r.U64("overflow head")); overflowRef == noOverflow {
+			r.Failf("overflow bit without a chain head")
 		}
-		overflowRef = int64(u)
 	}
 
+	// Each float has exactly one spelling: the escapes for +0 ELow and
+	// +Inf EHigh, else the dyadic index when there is one, else raw bits.
 	var vals [5]float64
 	dyBits := [5]uint16{pkXDyadic, pkYDyadic, pkZDyadic, pkELowDyadic, pkEHighDyadic}
 	for i := range vals {
@@ -317,17 +239,15 @@ func decodePackedRecord(buf []byte, arena *connArena) (n Node, connTotal int, ov
 		case i == 4 && flags&pkEHighInf != 0:
 			vals[i] = math.Inf(1)
 		case flags&dyBits[i] != 0:
-			u, ok := readUvarint()
-			if !ok {
-				return Node{}, 0, 0, fail("dyadic float")
+			vals[i] = r.Dyadic("float")
+			if i == 3 && vals[i] == 0 {
+				r.Failf("dyadic-spelled +0 ELow")
 			}
-			vals[i] = float64(unzigzag(u)) / dyadicScale
 		default:
-			u, ok := readRaw()
-			if !ok {
-				return Node{}, 0, 0, fail("raw float")
+			vals[i] = r.NonDyadicF64("float")
+			if i == 4 && math.IsInf(vals[i], 1) {
+				r.Failf("raw-spelled +Inf EHigh")
 			}
-			vals[i] = math.Float64frombits(u)
 		}
 	}
 	n.Pos = geom.Point3{X: vals[0], Y: vals[1], Z: vals[2]}
@@ -336,19 +256,20 @@ func decodePackedRecord(buf []byte, arena *connArena) (n Node, connTotal int, ov
 	refs := [5]int64{pm.None, pm.None, pm.None, pm.None, pm.None}
 	for i := range refs {
 		if flags&(1<<i) != 0 {
-			u, ok := readUvarint()
-			if !ok {
-				return Node{}, 0, 0, fail("topology ref")
+			if refs[i] = n.ID + r.Varint("topology ref"); refs[i] == pm.None {
+				r.Failf("pm.None spelled as a topology ref")
 			}
-			refs[i] = n.ID + unzigzag(u)
 		}
 	}
 	n.Parent, n.Child1, n.Child2 = refs[0], refs[1], refs[2]
 	n.Wing1, n.Wing2 = refs[3], refs[4]
 
-	total, ok := readUvarint()
-	if !ok || total > maxPackedConn {
-		return Node{}, 0, 0, fail("connection count")
+	total := r.Uvarint("connection count")
+	if total > maxPackedConn {
+		r.Failf("connection count %d", total)
+	}
+	if err := r.Err(); err != nil {
+		return Node{}, 0, 0, err
 	}
 	connTotal = int(total)
 	// Inline deltas run to the record's physical end. Capacity is exact
@@ -357,24 +278,19 @@ func decodePackedRecord(buf []byte, arena *connArena) (n Node, connTotal int, ov
 	// the arena chunk during the chain walk — the rare case pays one
 	// reallocation instead of every record paying a per-fetch make.
 	capacity := connTotal
-	if rem := len(buf) - off; capacity > rem {
+	if rem := r.Remaining(); capacity > rem {
 		capacity = rem
 	}
 	n.Conn = arena.alloc(capacity)
-	prev := n.ID
-	for off < len(buf) {
-		u, ok := readUvarint()
-		if !ok {
-			return Node{}, 0, 0, fail("connection delta")
-		}
-		prev += unzigzag(u)
-		n.Conn = append(n.Conn, prev)
+	n.Conn = r.Deltas(n.Conn, n.ID, connTotal, "connection delta")
+	switch {
+	case r.Remaining() > 0:
+		r.Failf("more inline IDs than count")
+	case overflowRef == noOverflow && len(n.Conn) != connTotal:
+		r.Failf("truncated inline connection list")
 	}
-	if len(n.Conn) > connTotal {
-		return Node{}, 0, 0, fail("more inline IDs than count")
-	}
-	if overflowRef == noOverflow && len(n.Conn) != connTotal {
-		return Node{}, 0, 0, fail("truncated inline connection list")
+	if err := r.Err(); err != nil {
+		return Node{}, 0, 0, err
 	}
 	return n, connTotal, overflowRef, nil
 }

@@ -1,6 +1,8 @@
 package dm
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -11,6 +13,7 @@ import (
 
 	"dmesh/internal/geom"
 	"dmesh/internal/pm"
+	"dmesh/internal/wire"
 )
 
 // packedFixtures covers the encoding's whole value space: every float
@@ -144,16 +147,16 @@ func TestDyadicIndexExcludesNonExact(t *testing.T) {
 		0.1, math.Pi, math.SmallestNonzeroFloat64, math.MaxFloat64,
 		float64(int64(1)<<41+4096) / 4096, 1.0 / 8192}
 	for _, v := range bad {
-		if m, ok := dyadicIndex(v); ok {
-			t.Fatalf("dyadicIndex(%g) = %d, want rejection", v, m)
+		if m, ok := wire.DyadicIndex(v); ok {
+			t.Fatalf("DyadicIndex(%g) = %d, want rejection", v, m)
 		}
 	}
 	good := map[float64]int64{0: 0, 0.5: 2048, -0.25: -1024, 1: 4096,
 		3.0 / 4096: 3, float64(int64(1)<<41) / 4096: 1 << 41}
 	for v, want := range good {
-		m, ok := dyadicIndex(v)
+		m, ok := wire.DyadicIndex(v)
 		if !ok || m != want {
-			t.Fatalf("dyadicIndex(%g) = %d,%v, want %d,true", v, m, ok, want)
+			t.Fatalf("DyadicIndex(%g) = %d,%v, want %d,true", v, m, ok, want)
 		}
 	}
 }
@@ -311,6 +314,35 @@ func TestPackedDecodeRejectsCorruption(t *testing.T) {
 	cases["reserved bit"][2] |= 0xE0
 	// ELow zero + dyadic simultaneously.
 	cases["conflicting dy"][2] |= 0x03 // bits 8 (pkELowZero) and 9 (pkELowDyadic)
+
+	// Canonicality: each value has one spelling, so records the encoder
+	// never emits are rejected even where they would decode. rec
+	// hand-assembles a record of ID 7 from a bitmap and its body.
+	rec := func(flags uint16, body ...[]byte) []byte {
+		b := binary.AppendUvarint(nil, 7)
+		b = binary.LittleEndian.AppendUint16(b, flags)
+		for _, p := range body {
+			b = append(b, p...)
+		}
+		return b
+	}
+	raw := func(v float64) []byte { return wire.AppendF64(nil, v) }
+	dy := func(m int64) []byte { return binary.AppendUvarint(nil, wire.Zigzag(m)) }
+	x, none := raw(0.1), []byte{0} // a non-dyadic coordinate; an empty list
+	esc := uint16(pkELowZero | pkEHighInf)
+	if got, _, _, err := decodePackedRecord(rec(esc, x, x, x, none), nil); err != nil ||
+		!bytes.Equal(encodePackedRecord(&got, noOverflow, 0, nil), rec(esc, x, x, x, none)) {
+		t.Fatalf("hand-built record does not round-trip: %v", err)
+	}
+	cases["raw dyadic float"] = rec(esc, raw(0.5), x, x, none)
+	cases["raw +0 ELow"] = rec(pkEHighInf, x, x, x, raw(0), none)
+	cases["dyadic +0 ELow"] = rec(pkELowDyadic|pkEHighInf, x, x, x, dy(0), none)
+	cases["raw +Inf EHigh"] = rec(pkELowZero, x, x, x, raw(math.Inf(1)), none)
+	cases["dyadic index beyond 2^41"] = rec(esc|pkXDyadic, dy(1<<41+1), x, x, none)
+	cases["ref spelling pm.None"] = rec(esc|pkParent, x, x, x, dy(pm.None-7), none)
+	noHead := binary.LittleEndian.AppendUint64(nil, math.MaxUint64) // noOverflow's bits
+	cases["overflow bit without head"] = rec(esc|pkOverflow, noHead, x, x, x, none)
+	cases["non-minimal varint"] = rec(esc, x, x, x, []byte{0x80, 0x00})
 	for name, buf := range cases {
 		_, _, _, err := decodePackedRecord(buf, nil)
 		if err == nil {
@@ -323,11 +355,15 @@ func TestPackedDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// maxFuzzSpill bounds the spilled-ID padding FuzzPackedRecordDecode
+// allocates to re-encode an accepted record (8 MiB of IDs).
+const maxFuzzSpill = 1 << 20
+
 // FuzzPackedRecordDecode feeds arbitrary bytes to the packed decoder:
 // it must never panic, never allocate unboundedly, and classify every
 // failure as ErrCorrupt. Valid decodes must satisfy the encoding's
-// invariants (inline list within the declared total, sorted deltas
-// reconstructed consistently).
+// invariants (inline list within the declared total) and re-encode to
+// the input.
 func FuzzPackedRecordDecode(f *testing.F) {
 	for _, n := range packedFixtures() {
 		f.Add(encodePackedRecord(&n, noOverflow, len(n.Conn), nil))
@@ -352,6 +388,19 @@ func FuzzPackedRecordDecode(f *testing.F) {
 		}
 		if ref == noOverflow && len(n.Conn) != total {
 			t.Fatalf("no overflow but %d of %d IDs inline", len(n.Conn), total)
+		}
+		// The decoder is canonical: re-encoding the decoded node with the
+		// decoded inline count and chain head reproduces the input. The
+		// encoder reads the list length, not the spilled IDs, so the
+		// inline prefix is padded to the total; totals a fuzz worker
+		// cannot pad in memory are checked by decode alone.
+		if total-len(n.Conn) > maxFuzzSpill {
+			return
+		}
+		inline := len(n.Conn)
+		n.Conn = append(n.Conn, make([]int64, total-inline)...)
+		if re := encodePackedRecord(&n, ref, inline, nil); !bytes.Equal(re, data) {
+			t.Fatalf("decode/encode not the identity:\n in: %x\nout: %x", data, re)
 		}
 	})
 }

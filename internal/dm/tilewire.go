@@ -2,11 +2,11 @@ package dm
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"sort"
 
 	"dmesh/internal/geom"
+	"dmesh/internal/wire"
 )
 
 // Wire format for TilePatch — the unit a cluster shard ships to the
@@ -42,7 +42,7 @@ func EncodeTilePatch(tp *TilePatch) []byte {
 	buf := make([]byte, 0, 64+len(tp.Nodes)*96+16*len(tp.edges)+24*len(tp.tris)+16*len(tp.outPairs))
 	buf = append(buf, tileWireMagic...)
 	buf = binary.AppendUvarint(buf, tileWireVersion)
-	buf = appendF64(buf, tp.Rect.MinX, tp.Rect.MinY, tp.Rect.MaxX, tp.Rect.MaxY, tp.E)
+	buf = wire.AppendF64(buf, tp.Rect.MinX, tp.Rect.MinY, tp.Rect.MaxX, tp.Rect.MaxY, tp.E)
 	buf = binary.AppendUvarint(buf, uint64(tp.FetchedRecords))
 
 	ids := make([]int64, 0, len(tp.Nodes))
@@ -54,11 +54,11 @@ func EncodeTilePatch(tp *TilePatch) []byte {
 	for _, id := range ids {
 		n := tp.Nodes[id]
 		buf = binary.AppendUvarint(buf, uint64(id))
-		buf = appendF64(buf, n.Pos.X, n.Pos.Y, n.Pos.Z, n.ERaw, n.ELow, n.EHigh)
+		buf = wire.AppendF64(buf, n.Pos.X, n.Pos.Y, n.Pos.Z, n.ERaw, n.ELow, n.EHigh)
 		for _, ref := range [...]int64{n.Parent, n.Child1, n.Child2, n.Wing1, n.Wing2} {
 			buf = binary.AppendVarint(buf, ref)
 		}
-		buf = appendF64(buf, n.MBR.MinX, n.MBR.MinY, n.MBR.MaxX, n.MBR.MaxY)
+		buf = wire.AppendF64(buf, n.MBR.MinX, n.MBR.MinY, n.MBR.MaxX, n.MBR.MaxY)
 		buf = binary.AppendUvarint(buf, uint64(len(n.Conn)))
 		prev := int64(0)
 		for _, c := range n.Conn { // sorted ascending: small positive deltas
@@ -86,160 +86,70 @@ func EncodeTilePatch(tp *TilePatch) []byte {
 	return buf
 }
 
-func appendF64(buf []byte, vs ...float64) []byte {
-	for _, v := range vs {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	return buf
-}
-
-// tileWireReader is a bounds-checked cursor over an encoded patch. Every
-// read error wraps ErrCorrupt; allocation sizes are validated against the
-// bytes remaining, so truncated or hostile inputs fail cleanly instead of
-// panicking or ballooning memory.
-type tileWireReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *tileWireReader) corrupt(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("dm: tile patch wire: %s at offset %d: %w", what, r.off, ErrCorrupt)
-	}
-}
-
-func (r *tileWireReader) uvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.corrupt("bad uvarint " + what)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *tileWireReader) varint(what string) int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.corrupt("bad varint " + what)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *tileWireReader) f64(what string) float64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.b) {
-		r.corrupt("truncated float " + what)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
-	r.off += 8
-	return v
-}
-
-// count reads a collection length and sanity-bounds it: each element
-// occupies at least minBytes on the wire, so a count the remaining bytes
-// cannot hold is corruption, not an allocation request.
-func (r *tileWireReader) count(what string, minBytes int) int {
-	v := r.uvarint(what)
-	if r.err != nil {
-		return 0
-	}
-	if v > uint64(len(r.b)-r.off)/uint64(minBytes) {
-		r.corrupt("impossible count " + what)
-		return 0
-	}
-	return int(v)
-}
-
 // DecodeTilePatch parses a patch encoded by EncodeTilePatch. The decode
-// is panic-free on arbitrary input: corruption surfaces as an error
-// wrapping ErrCorrupt.
+// is panic-free on arbitrary input and canonical: it accepts exactly
+// the bytes EncodeTilePatch emits, and anything else surfaces as an
+// error wrapping ErrCorrupt.
 func DecodeTilePatch(b []byte) (*TilePatch, error) {
-	r := &tileWireReader{b: b}
-	if len(b) < len(tileWireMagic) || string(b[:len(tileWireMagic)]) != tileWireMagic {
-		return nil, fmt.Errorf("dm: tile patch wire: bad magic: %w", ErrCorrupt)
-	}
-	r.off = len(tileWireMagic)
-	if v := r.uvarint("version"); r.err == nil && v != tileWireVersion {
-		return nil, fmt.Errorf("dm: tile patch wire: unsupported version %d: %w", v, ErrCorrupt)
+	r := wire.NewReader(b, "dm: tile patch wire", ErrCorrupt)
+	r.Magic(tileWireMagic)
+	if v := r.Uvarint("version"); r.Err() == nil && v != tileWireVersion {
+		r.Failf("unsupported version %d", v)
 	}
 	tp := &TilePatch{}
-	tp.Rect.MinX, tp.Rect.MinY = r.f64("rect"), r.f64("rect")
-	tp.Rect.MaxX, tp.Rect.MaxY = r.f64("rect"), r.f64("rect")
-	tp.E = r.f64("e")
-	tp.FetchedRecords = int(r.uvarint("fetched"))
+	tp.Rect.MinX, tp.Rect.MinY = r.F64("rect"), r.F64("rect")
+	tp.Rect.MaxX, tp.Rect.MaxY = r.F64("rect"), r.F64("rect")
+	tp.E = r.F64("e")
+	tp.FetchedRecords = int(r.Uvarint("fetched"))
 
-	nNodes := r.count("nodes", 2)
+	nNodes := r.Count("nodes", 2)
 	tp.Nodes = make(map[int64]*Node, nNodes)
-	for i := 0; i < nNodes && r.err == nil; i++ {
+	prevID := int64(-1)
+	for i := 0; i < nNodes && r.Err() == nil; i++ {
+		// The encoder writes nodes in ascending ID order; any other order
+		// would be a second spelling of the same patch.
+		u := r.Uvarint("node id")
+		if u > math.MaxInt64 || int64(u) <= prevID {
+			r.Failf("node id %d out of ascending order", u)
+		}
 		n := &Node{}
-		id := int64(r.uvarint("node id"))
-		n.ID = id
-		n.Pos.X, n.Pos.Y, n.Pos.Z = r.f64("pos"), r.f64("pos"), r.f64("pos")
-		n.ERaw, n.ELow, n.EHigh = r.f64("eraw"), r.f64("elow"), r.f64("ehigh")
-		n.Parent = r.varint("parent")
-		n.Child1, n.Child2 = r.varint("child"), r.varint("child")
-		n.Wing1, n.Wing2 = r.varint("wing"), r.varint("wing")
-		n.MBR.MinX, n.MBR.MinY = r.f64("mbr"), r.f64("mbr")
-		n.MBR.MaxX, n.MBR.MaxY = r.f64("mbr"), r.f64("mbr")
-		nConn := r.count("conn", 1)
-		if nConn > 0 {
-			n.Conn = make([]int64, 0, nConn)
-			prev := int64(0)
-			for j := 0; j < nConn && r.err == nil; j++ {
-				prev += r.varint("conn delta")
-				n.Conn = append(n.Conn, prev)
-			}
+		n.ID = int64(u)
+		prevID = n.ID
+		n.Pos.X, n.Pos.Y, n.Pos.Z = r.F64("pos"), r.F64("pos"), r.F64("pos")
+		n.ERaw, n.ELow, n.EHigh = r.F64("eraw"), r.F64("elow"), r.F64("ehigh")
+		n.Parent = r.Varint("parent")
+		n.Child1, n.Child2 = r.Varint("child"), r.Varint("child")
+		n.Wing1, n.Wing2 = r.Varint("wing"), r.Varint("wing")
+		n.MBR.MinX, n.MBR.MinY = r.F64("mbr"), r.F64("mbr")
+		n.MBR.MaxX, n.MBR.MaxY = r.F64("mbr"), r.F64("mbr")
+		if nConn := r.Count("conn", 1); nConn > 0 {
+			n.Conn = r.Deltas(make([]int64, 0, nConn), 0, nConn, "conn delta")
 		}
-		if r.err == nil {
-			if _, dup := tp.Nodes[id]; dup {
-				r.corrupt("duplicate node id")
-				break
-			}
-			tp.Nodes[id] = n
-		}
+		tp.Nodes[n.ID] = n
 	}
 
-	nEdges := r.count("edges", 2)
-	if nEdges > 0 {
+	if nEdges := r.Count("edges", 2); nEdges > 0 {
 		tp.edges = make([][2]int64, 0, nEdges)
-		for i := 0; i < nEdges && r.err == nil; i++ {
-			tp.edges = append(tp.edges, [2]int64{r.varint("edge"), r.varint("edge")})
+		for i := 0; i < nEdges && r.Err() == nil; i++ {
+			tp.edges = append(tp.edges, [2]int64{r.Varint("edge"), r.Varint("edge")})
 		}
 	}
-	nTris := r.count("tris", 3)
-	if nTris > 0 {
+	if nTris := r.Count("tris", 3); nTris > 0 {
 		tp.tris = make([]geom.Triangle, 0, nTris)
-		for i := 0; i < nTris && r.err == nil; i++ {
+		for i := 0; i < nTris && r.Err() == nil; i++ {
 			tp.tris = append(tp.tris, geom.Triangle{
-				A: r.varint("tri"), B: r.varint("tri"), C: r.varint("tri"),
+				A: r.Varint("tri"), B: r.Varint("tri"), C: r.Varint("tri"),
 			})
 		}
 	}
-	nOut := r.count("outpairs", 2)
-	if nOut > 0 {
+	if nOut := r.Count("outpairs", 2); nOut > 0 {
 		tp.outPairs = make([][2]int64, 0, nOut)
-		for i := 0; i < nOut && r.err == nil; i++ {
-			tp.outPairs = append(tp.outPairs, [2]int64{r.varint("outpair"), r.varint("outpair")})
+		for i := 0; i < nOut && r.Err() == nil; i++ {
+			tp.outPairs = append(tp.outPairs, [2]int64{r.Varint("outpair"), r.Varint("outpair")})
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("dm: tile patch wire: %d trailing bytes: %w", len(b)-r.off, ErrCorrupt)
+	if err := r.Finish(); err != nil {
+		return nil, err
 	}
 	return tp, nil
 }

@@ -2,6 +2,7 @@ package dm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"dmesh/internal/geom"
+	"dmesh/internal/wire"
 )
 
 func materializeWirePatches(t *testing.T, s *Store, r geom.Rect, e float64, level int) []*TilePatch {
@@ -173,4 +175,30 @@ func TestTilePatchWireCorruption(t *testing.T) {
 	huge = append(huge, 0x01)                // fetched = 1
 	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0x7f)
 	requireCorrupt("impossible node count", huge)
+
+	// Canonicality: bytes EncodeTilePatch never emits are rejected, even
+	// where they would spell a valid patch. The version 1 spelled in two
+	// bytes:
+	requireCorrupt("non-minimal varint", append(append([]byte("DMTP"), 0x81, 0x00), enc[5:]...))
+	// Hand-built patches of empty nodes in the given ID order; ascending
+	// order is the only spelling.
+	patch := func(ids ...uint64) []byte {
+		b := append([]byte(tileWireMagic), tileWireVersion)
+		b = wire.AppendF64(b, 0, 0, 1, 1, 0.5)
+		b = append(b, 0, byte(len(ids))) // fetched, node count
+		for _, id := range ids {
+			b = binary.AppendUvarint(b, id)
+			b = wire.AppendF64(b, 0, 0, 0, 0, 0, 0)
+			b = append(b, 1, 1, 1, 1, 1) // five pm.None refs
+			b = wire.AppendF64(b, 0, 0, 0, 0)
+			b = append(b, 0) // no connections
+		}
+		return append(b, 0, 0, 0) // no edges, triangles or out-pairs
+	}
+	if dec, err := DecodeTilePatch(patch(3, 5)); err != nil || !bytes.Equal(EncodeTilePatch(dec), patch(3, 5)) {
+		t.Fatalf("hand-built patch does not round-trip: %v", err)
+	}
+	requireCorrupt("descending node ids", patch(5, 3))
+	requireCorrupt("duplicate node ids", patch(3, 3))
+	requireCorrupt("node id above MaxInt64", patch(1<<63))
 }

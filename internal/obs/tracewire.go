@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"dmesh/internal/wire"
 )
 
 // ErrCorrupt is the sentinel wrapped by every trace-wire decode failure,
@@ -36,11 +38,6 @@ const (
 	traceWireMagic   = "DMTW"
 	traceWireVersion = 1
 )
-
-// maxWireSpans bounds a decoded trace's span count: a defense against a
-// corrupt count field committing the decoder to a huge allocation. Far
-// above any real query's span count (deep traces run tens of spans).
-const maxWireSpans = 1 << 20
 
 // EncodeWire serializes the trace's recorded spans in the TraceWire
 // format. All spans must be closed (the encoding carries final DA and
@@ -104,97 +101,35 @@ func (wt *WireTrace) rootDur() time.Duration {
 	return total
 }
 
-// wireReader walks a trace wire buffer; every read failure is a
-// truncation wrapped in ErrCorrupt.
-type wireReader struct {
-	buf []byte
-	off int
-}
-
-func (r *wireReader) uvarint(field string) (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("obs: trace wire: truncated or overlong %s at offset %d: %w", field, r.off, ErrCorrupt)
-	}
-	// Reject non-minimal encodings (a zero final byte adds no value
-	// bits): the format's uniqueness guarantee — byte equality is trace
-	// equality — holds only if each value has exactly one encoding.
-	if n > 1 && r.buf[r.off+n-1] == 0 {
-		return 0, fmt.Errorf("obs: trace wire: non-minimal %s at offset %d: %w", field, r.off, ErrCorrupt)
-	}
-	r.off += n
-	return v, nil
-}
-
-// DecodeTraceWire parses a TraceWire buffer. It never panics: any
-// malformed input — bad magic, unknown version, phase out of range,
-// forward or self parent references, child costs exceeding the span's
-// own, truncation at any byte, or trailing garbage — returns an error
-// wrapping ErrCorrupt.
+// DecodeTraceWire parses a TraceWire buffer. It never panics and is
+// canonical: any input EncodeWire would not emit — bad magic, unknown
+// version, a non-minimal varint, phase out of range, forward or self
+// parent references, child costs exceeding the span's own, truncation
+// at any byte, or trailing garbage — returns an error wrapping
+// ErrCorrupt.
 func DecodeTraceWire(buf []byte) (*WireTrace, error) {
-	if len(buf) < len(traceWireMagic) || string(buf[:len(traceWireMagic)]) != traceWireMagic {
-		return nil, fmt.Errorf("obs: trace wire: bad magic: %w", ErrCorrupt)
+	r := wire.NewReader(buf, "obs: trace wire", ErrCorrupt)
+	r.Magic(traceWireMagic)
+	if v := r.Uvarint("version"); r.Err() == nil && v != traceWireVersion {
+		r.Failf("unsupported version %d", v)
 	}
-	r := &wireReader{buf: buf, off: len(traceWireMagic)}
-	version, err := r.uvarint("version")
-	if err != nil {
-		return nil, err
-	}
-	if version != traceWireVersion {
-		return nil, fmt.Errorf("obs: trace wire: unsupported version %d: %w", version, ErrCorrupt)
-	}
-	count, err := r.uvarint("span count")
-	if err != nil {
-		return nil, err
-	}
-	if count > maxWireSpans {
-		return nil, fmt.Errorf("obs: trace wire: implausible span count %d: %w", count, ErrCorrupt)
-	}
-	// Allocation bounded by the physical buffer: a span needs >= 7 bytes.
-	if int(count) > len(buf)/7+1 {
-		return nil, fmt.Errorf("obs: trace wire: %d spans in a %d-byte wire: %w", count, len(buf), ErrCorrupt)
-	}
-	spans := make([]Span, count)
+	spans := make([]Span, r.Count("span", 7))
 	for i := range spans {
-		phase, err := r.uvarint("phase")
-		if err != nil {
-			return nil, err
+		phase, parent := r.Uvarint("phase"), r.Uvarint("parent")
+		start, dur, childDur := r.Uvarint("start"), r.Uvarint("dur"), r.Uvarint("child dur")
+		da, childDA := r.Uvarint("da"), r.Uvarint("child da")
+		switch {
+		case phase >= uint64(NumPhases):
+			r.Failf("span %d: phase %d out of range", i, phase)
+		case parent > uint64(i):
+			r.Failf("span %d: parent %d not before it", i, int64(parent)-1)
+		case childDur > dur:
+			r.Failf("span %d: children claim %dns of a %dns span", i, childDur, dur)
+		case childDA > da:
+			r.Failf("span %d: children claim %d DA of a %d-DA span", i, childDA, da)
 		}
-		if phase >= uint64(NumPhases) {
-			return nil, fmt.Errorf("obs: trace wire: span %d: phase %d out of range: %w", i, phase, ErrCorrupt)
-		}
-		parent, err := r.uvarint("parent")
-		if err != nil {
-			return nil, err
-		}
-		if parent > uint64(i) {
-			return nil, fmt.Errorf("obs: trace wire: span %d: parent %d not before it: %w", i, int64(parent)-1, ErrCorrupt)
-		}
-		start, err := r.uvarint("start")
-		if err != nil {
-			return nil, err
-		}
-		dur, err := r.uvarint("dur")
-		if err != nil {
-			return nil, err
-		}
-		childDur, err := r.uvarint("child dur")
-		if err != nil {
-			return nil, err
-		}
-		if childDur > dur {
-			return nil, fmt.Errorf("obs: trace wire: span %d: children claim %dns of a %dns span: %w", i, childDur, dur, ErrCorrupt)
-		}
-		da, err := r.uvarint("da")
-		if err != nil {
-			return nil, err
-		}
-		childDA, err := r.uvarint("child da")
-		if err != nil {
-			return nil, err
-		}
-		if childDA > da {
-			return nil, fmt.Errorf("obs: trace wire: span %d: children claim %d DA of a %d-DA span: %w", i, childDA, da, ErrCorrupt)
+		if r.Err() != nil {
+			break
 		}
 		spans[i] = Span{
 			Phase:    Phase(phase),
@@ -206,8 +141,8 @@ func DecodeTraceWire(buf []byte) (*WireTrace, error) {
 			childDur: time.Duration(childDur),
 		}
 	}
-	if r.off != len(buf) {
-		return nil, fmt.Errorf("obs: trace wire: %d trailing bytes: %w", len(buf)-r.off, ErrCorrupt)
+	if err := r.Finish(); err != nil {
+		return nil, err
 	}
 	return &WireTrace{Spans: spans}, nil
 }

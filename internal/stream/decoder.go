@@ -2,12 +2,14 @@ package stream
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 
 	"dmesh/internal/dm"
 	"dmesh/internal/geom"
+	"dmesh/internal/wire"
 )
 
 // Decoder reconstructs a progressive stream batch by batch. After any
@@ -75,9 +77,9 @@ func (d *Decoder) Attach(r io.Reader) error {
 	if string(magic) != streamMagic {
 		return d.poison(fmt.Errorf("stream: bad magic %q: %w", magic, ErrCorrupt))
 	}
-	version, err := binary.ReadUvarint(d)
+	version, err := d.uvarint("header version")
 	if err != nil {
-		return fmt.Errorf("stream: reading header: %w", ErrTruncated)
+		return err
 	}
 	if version != streamVersion {
 		return d.poison(fmt.Errorf("stream: unsupported version %d: %w", version, ErrCorrupt))
@@ -90,9 +92,9 @@ func (d *Decoder) Attach(r io.Reader) error {
 	for i := range f {
 		f[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
-	n, err := binary.ReadUvarint(d)
+	n, err := d.uvarint("header batch count")
 	if err != nil {
-		return fmt.Errorf("stream: reading header: %w", ErrTruncated)
+		return err
 	}
 	rect := geom.Rect{MinX: f[0], MinY: f[1], MaxX: f[2], MaxY: f[3]}
 	targetE := f[4]
@@ -109,6 +111,21 @@ func (d *Decoder) Attach(r io.Reader) error {
 			rect, targetE, n, d.rect, d.targetE, d.nBatches, ErrCorrupt))
 	}
 	return nil
+}
+
+// uvarint reads a header or frame-length uvarint. A short read is a
+// resumable cut (ErrTruncated); a non-minimal or overlong spelling is
+// corruption and poisons the decoder.
+func (d *Decoder) uvarint(what string) (uint64, error) {
+	v, err := wire.ReadUvarint(d, ErrCorrupt)
+	switch {
+	case err == nil:
+		return v, nil
+	case errors.Is(err, ErrCorrupt):
+		return 0, d.poison(fmt.Errorf("stream: %s before batch %d: %w", what, d.next, err))
+	default:
+		return 0, fmt.Errorf("stream: %s before batch %d: %w", what, d.next, ErrTruncated)
+	}
 }
 
 func (d *Decoder) poison(err error) error {
@@ -156,9 +173,9 @@ func (d *Decoder) Next() (int, float64, error) {
 	if d.Done() {
 		return 0, 0, io.EOF
 	}
-	length, err := binary.ReadUvarint(d)
+	length, err := d.uvarint("frame length")
 	if err != nil {
-		return 0, 0, fmt.Errorf("stream: frame %d: %w", d.next, ErrTruncated)
+		return 0, 0, err
 	}
 	if length > maxFramePayload {
 		return 0, 0, d.poison(fmt.Errorf("stream: frame %d declares %d bytes: %w", d.next, length, ErrCorrupt))
@@ -183,93 +200,19 @@ func (d *Decoder) Next() (int, float64, error) {
 // Result in the canonical query-answer shape, safe to retain.
 func (d *Decoder) Mesh() *dm.Result { return d.state.result() }
 
-// frameReader is the bounds-checked cursor over one frame payload;
-// every violation wraps ErrCorrupt.
-type frameReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *frameReader) corrupt(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("stream: %s at offset %d: %w", what, r.off, ErrCorrupt)
-	}
-}
-
-func (r *frameReader) uvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.corrupt("bad uvarint " + what)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *frameReader) f64(what string) float64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.b) {
-		r.corrupt("truncated float " + what)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
-	r.off += 8
-	return v
-}
-
-func (r *frameReader) byte(what string) byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.b) {
-		r.corrupt("truncated " + what)
-		return 0
-	}
-	b := r.b[r.off]
-	r.off++
-	return b
-}
-
-// count reads a collection length and sanity-bounds it against the
-// bytes remaining (each element takes at least minBytes on the wire).
-func (r *frameReader) count(what string, minBytes int) int {
-	v := r.uvarint(what)
-	if r.err != nil {
-		return 0
-	}
-	if v > uint64(len(r.b)-r.off)/uint64(minBytes) {
-		r.corrupt("impossible count " + what)
-		return 0
-	}
-	return int(v)
-}
-
-// idSet reads an ascending ID set (first absolute, then strictly
+// readIDSet reads an ascending ID set (first absolute, then strictly
 // positive deltas).
-func (r *frameReader) idSet(what string) []int64 {
-	n := r.count(what, 1)
+func readIDSet(r *wire.Reader, what string) []int64 {
+	n := r.Count(what, 1)
 	if n == 0 {
 		return nil
 	}
 	ids := make([]int64, 0, n)
 	prev := int64(0)
-	for i := 0; i < n && r.err == nil; i++ {
-		d := r.uvarint(what + " delta")
-		if r.err != nil {
-			break
-		}
-		if i > 0 && d == 0 {
-			r.corrupt("non-ascending " + what)
-			break
-		}
-		if d > math.MaxInt64 || prev > math.MaxInt64-int64(d) {
-			r.corrupt("overflowing " + what)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		d := r.Uvarint(what)
+		if (i > 0 && d == 0) || d > math.MaxInt64 || prev > math.MaxInt64-int64(d) {
+			r.Failf("non-ascending or overflowing %s", what)
 			break
 		}
 		prev += int64(d)
@@ -278,32 +221,31 @@ func (r *frameReader) idSet(what string) []int64 {
 	return ids
 }
 
-// pairSet reads ascending (a, b) pairs with a < b.
-func (r *frameReader) pairSet(what string) [][2]int64 {
-	n := r.count(what, 2)
+// readPairSet reads ascending (a, b) pairs with a < b.
+func readPairSet(r *wire.Reader, what string) [][2]int64 {
+	n := r.Count(what, 2)
 	if n == 0 {
 		return nil
 	}
 	ps := make([][2]int64, 0, n)
 	prevA, prevB := int64(0), int64(-1)
-	for i := 0; i < n && r.err == nil; i++ {
-		da := r.uvarint(what + " a")
-		db := r.uvarint(what + " b")
-		if r.err != nil {
+	for i := 0; i < n && r.Err() == nil; i++ {
+		da, db := r.Uvarint(what), r.Uvarint(what)
+		if r.Err() != nil {
 			break
 		}
 		if da > math.MaxInt64 || prevA > math.MaxInt64-int64(da) || db == 0 || db > math.MaxInt64 {
-			r.corrupt("bad pair in " + what)
+			r.Failf("bad pair in %s", what)
 			break
 		}
 		a := prevA + int64(da)
 		if a > math.MaxInt64-int64(db) {
-			r.corrupt("overflowing " + what)
+			r.Failf("overflowing %s", what)
 			break
 		}
 		b := a + int64(db)
 		if i > 0 && da == 0 && b <= prevB {
-			r.corrupt("non-ascending " + what)
+			r.Failf("non-ascending %s", what)
 			break
 		}
 		ps = append(ps, [2]int64{a, b})
@@ -312,39 +254,37 @@ func (r *frameReader) pairSet(what string) [][2]int64 {
 	return ps
 }
 
-// triSet reads ascending canonical (A, B, C) triangles with A < B < C.
-func (r *frameReader) triSet(what string) []geom.Triangle {
-	n := r.count(what, 3)
+// readTriSet reads ascending canonical (A, B, C) triangles with A < B < C.
+func readTriSet(r *wire.Reader, what string) []geom.Triangle {
+	n := r.Count(what, 3)
 	if n == 0 {
 		return nil
 	}
 	ts := make([]geom.Triangle, 0, n)
 	prevA, prevB, prevC := int64(0), int64(-1), int64(-1)
-	for i := 0; i < n && r.err == nil; i++ {
-		da := r.uvarint(what + " a")
-		db := r.uvarint(what + " b")
-		dc := r.uvarint(what + " c")
-		if r.err != nil {
+	for i := 0; i < n && r.Err() == nil; i++ {
+		da, db, dc := r.Uvarint(what), r.Uvarint(what), r.Uvarint(what)
+		if r.Err() != nil {
 			break
 		}
 		if da > math.MaxInt64 || prevA > math.MaxInt64-int64(da) ||
 			db == 0 || db > math.MaxInt64 || dc == 0 || dc > math.MaxInt64 {
-			r.corrupt("bad triangle in " + what)
+			r.Failf("bad triangle in %s", what)
 			break
 		}
 		a := prevA + int64(da)
 		if a > math.MaxInt64-int64(db) {
-			r.corrupt("overflowing " + what)
+			r.Failf("overflowing %s", what)
 			break
 		}
 		b := a + int64(db)
 		if b > math.MaxInt64-int64(dc) {
-			r.corrupt("overflowing " + what)
+			r.Failf("overflowing %s", what)
 			break
 		}
 		c := b + int64(dc)
 		if i > 0 && da == 0 && (b < prevB || (b == prevB && c <= prevC)) {
-			r.corrupt("non-ascending " + what)
+			r.Failf("non-ascending %s", what)
 			break
 		}
 		ts = append(ts, geom.Triangle{A: a, B: b, C: c})
@@ -355,75 +295,81 @@ func (r *frameReader) triSet(what string) []geom.Triangle {
 
 // applyBatch parses one frame payload and applies it to the state,
 // returning the batch's LOD. Membership violations (removing what was
-// never sent, re-adding what exists) are corruption: the two codec ends
-// have diverged and no resume can fix that.
+// never sent, adding what exists) are corruption: the two codec ends
+// have diverged and no resume can fix that. Additions are checked
+// against the state before the batch's removals, so a batch cannot
+// remove and re-add (move) an element, which encodeBatch never emits.
 func (d *Decoder) applyBatch(payload []byte) (float64, error) {
-	r := &frameReader{b: payload}
-	idx := r.uvarint("batch index")
-	e := r.f64("batch e")
-	if r.err != nil {
-		return 0, r.err
-	}
-	if idx != uint64(d.next) {
-		return 0, fmt.Errorf("stream: batch %d arrived, expected %d: %w", idx, d.next, ErrCorrupt)
-	}
-	if d.next > 0 && e >= d.lastE {
-		return 0, fmt.Errorf("stream: batch %d does not refine (E %g after %g): %w", idx, e, d.lastE, ErrCorrupt)
-	}
-	if int(idx) == d.nBatches-1 && math.Float64bits(e) != math.Float64bits(d.targetE) {
-		return 0, fmt.Errorf("stream: final batch E %g, header target %g: %w", e, d.targetE, ErrCorrupt)
+	r := wire.NewReader(payload, "stream", ErrCorrupt)
+	idx := r.Uvarint("batch index")
+	e := r.F64("batch e")
+	switch {
+	case r.Err() != nil:
+	case idx != uint64(d.next):
+		r.Failf("batch %d arrived, expected %d", idx, d.next)
+	case math.IsNaN(e) || math.IsInf(e, 0):
+		r.Failf("batch %d E is %g", idx, e)
+	case d.next > 0 && e >= d.lastE:
+		r.Failf("batch %d does not refine (E %g after %g)", idx, e, d.lastE)
+	case int(idx) == d.nBatches-1 && math.Float64bits(e) != math.Float64bits(d.targetE):
+		r.Failf("final batch E %g, header target %g", e, d.targetE)
 	}
 
-	remTris := r.triSet("removed triangles")
-	remEdges := r.pairSet("removed edges")
-	remVerts := r.idSet("removed vertices")
+	remTris := readTriSet(&r, "removed triangles")
+	remEdges := readPairSet(&r, "removed edges")
+	remVerts := readIDSet(&r, "removed vertices")
 
-	nAdd := r.count("added vertices", 5)
+	nAdd := r.Count("added vertices", 5)
 	type addedVert struct {
 		id int64
 		p  geom.Point3
 	}
 	adds := make([]addedVert, 0, nAdd)
 	prevID := int64(0)
-	for i := 0; i < nAdd && r.err == nil; i++ {
-		dID := r.uvarint("added vertex id")
-		if r.err != nil {
-			break
-		}
+	for i := 0; i < nAdd && r.Err() == nil; i++ {
+		dID := r.Uvarint("added vertex id")
 		if (i > 0 && dID == 0) || dID > math.MaxInt64 || prevID > math.MaxInt64-int64(dID) {
-			r.corrupt("non-ascending added vertex ids")
+			r.Failf("non-ascending added vertex ids")
 			break
 		}
 		prevID += int64(dID)
-		flags := r.byte("vertex flags")
-		if r.err != nil {
-			break
-		}
+		flags := r.Byte("vertex flags")
 		if flags&^0x07 != 0 {
-			r.corrupt("reserved vertex flag bits")
+			r.Failf("reserved vertex flag bits")
 			break
 		}
 		var c [3]float64
-		for ci := 0; ci < 3; ci++ {
+		for ci := range c {
 			if flags&(1<<ci) != 0 {
-				m := unzigzag(r.uvarint("dyadic coordinate"))
-				c[ci] = dm.FromDyadicIndex(m)
+				c[ci] = r.Dyadic("coordinate")
 			} else {
-				c[ci] = r.f64("coordinate")
+				c[ci] = r.NonDyadicF64("coordinate")
 			}
 		}
 		adds = append(adds, addedVert{id: prevID, p: geom.Point3{X: c[0], Y: c[1], Z: c[2]}})
 	}
 
-	addEdges := r.pairSet("added edges")
-	addTris := r.triSet("added triangles")
-	if r.err != nil {
-		return 0, r.err
-	}
-	if r.off != len(r.b) {
-		return 0, fmt.Errorf("stream: %d trailing bytes in batch %d: %w", len(r.b)-r.off, idx, ErrCorrupt)
+	addEdges := readPairSet(&r, "added edges")
+	addTris := readTriSet(&r, "added triangles")
+	if err := r.Finish(); err != nil {
+		return 0, err
 	}
 
+	for _, av := range adds {
+		if _, ok := d.state.verts[av.id]; ok {
+			return 0, fmt.Errorf("stream: batch %d re-adds vertex %d: %w", idx, av.id, ErrCorrupt)
+		}
+	}
+	for _, p := range addEdges {
+		if _, ok := d.state.edges[p]; ok {
+			return 0, fmt.Errorf("stream: batch %d re-adds edge (%d,%d): %w", idx, p[0], p[1], ErrCorrupt)
+		}
+	}
+	for _, t := range addTris {
+		if _, ok := d.state.tris[t]; ok {
+			return 0, fmt.Errorf("stream: batch %d re-adds triangle (%d,%d,%d): %w", idx, t.A, t.B, t.C, ErrCorrupt)
+		}
+	}
 	for _, t := range remTris {
 		if _, ok := d.state.tris[t]; !ok {
 			return 0, fmt.Errorf("stream: batch %d removes unknown triangle (%d,%d,%d): %w", idx, t.A, t.B, t.C, ErrCorrupt)
@@ -443,27 +389,17 @@ func (d *Decoder) applyBatch(payload []byte) (float64, error) {
 		delete(d.state.verts, id)
 	}
 	for _, av := range adds {
-		if _, ok := d.state.verts[av.id]; ok {
-			return 0, fmt.Errorf("stream: batch %d re-adds vertex %d: %w", idx, av.id, ErrCorrupt)
-		}
 		d.state.verts[av.id] = av.p
 	}
 	for _, p := range addEdges {
-		if _, ok := d.state.edges[p]; ok {
-			return 0, fmt.Errorf("stream: batch %d re-adds edge (%d,%d): %w", idx, p[0], p[1], ErrCorrupt)
-		}
-		if _, ok := d.state.verts[p[0]]; !ok {
-			return 0, fmt.Errorf("stream: batch %d edge references untransmitted vertex %d: %w", idx, p[0], ErrCorrupt)
-		}
-		if _, ok := d.state.verts[p[1]]; !ok {
-			return 0, fmt.Errorf("stream: batch %d edge references untransmitted vertex %d: %w", idx, p[1], ErrCorrupt)
+		for _, id := range p {
+			if _, ok := d.state.verts[id]; !ok {
+				return 0, fmt.Errorf("stream: batch %d edge references untransmitted vertex %d: %w", idx, id, ErrCorrupt)
+			}
 		}
 		d.state.edges[p] = struct{}{}
 	}
 	for _, t := range addTris {
-		if _, ok := d.state.tris[t]; ok {
-			return 0, fmt.Errorf("stream: batch %d re-adds triangle (%d,%d,%d): %w", idx, t.A, t.B, t.C, ErrCorrupt)
-		}
 		for _, id := range [3]int64{t.A, t.B, t.C} {
 			if _, ok := d.state.verts[id]; !ok {
 				return 0, fmt.Errorf("stream: batch %d triangle references untransmitted vertex %d: %w", idx, id, ErrCorrupt)

@@ -24,7 +24,7 @@
 //	      ID delta uvarint (vs previous added ID; absolute for the first)
 //	      flags byte: bits 0..2 mark x/y/z as dyadic, bits 3..7 reserved
 //	      x, y, z: zigzag-uvarint dyadic index when flagged (the packed
-//	      record fast path, dm.DyadicIndex), else raw float64 bits
+//	      record fast path, wire.DyadicIndex), else raw float64 bits
 //	    added edges        (pair set)
 //	    added triangles    (triangle set)
 //
@@ -56,6 +56,7 @@ import (
 	"dmesh/internal/dm"
 	"dmesh/internal/geom"
 	"dmesh/internal/obs"
+	"dmesh/internal/wire"
 )
 
 const (
@@ -77,19 +78,6 @@ var ErrCorrupt = errors.New("stream: corrupt stream")
 // holds the last complete batch; re-request with resume=LastApplied()
 // and Attach the new body to continue.
 var ErrTruncated = errors.New("stream: truncated")
-
-// zigzag maps signed values to unsigned so small magnitudes of either
-// sign take short varints (dyadic indices can be negative).
-func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-func appendF64(buf []byte, vs ...float64) []byte {
-	for _, v := range vs {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	return buf
-}
 
 // LevelsFor returns the coarse-to-fine batch schedule for a query whose
 // target snapped onto ladder rung band: every rung from the ladder top
@@ -239,7 +227,7 @@ func (e *Encoder) Header() []byte {
 	buf := make([]byte, 0, 64)
 	buf = append(buf, streamMagic...)
 	buf = binary.AppendUvarint(buf, streamVersion)
-	buf = appendF64(buf, e.rect.MinX, e.rect.MinY, e.rect.MaxX, e.rect.MaxY, e.TargetE())
+	buf = wire.AppendF64(buf, e.rect.MinX, e.rect.MinY, e.rect.MaxX, e.rect.MaxY, e.TargetE())
 	buf = binary.AppendUvarint(buf, uint64(len(e.levels)))
 	return buf
 }
@@ -349,7 +337,7 @@ func encodeBatch(idx int, level float64, prev, next meshState) ([]byte, error) {
 
 	buf := make([]byte, 0, 16+len(addVerts)*16+(len(remEdges)+len(addEdges))*4+(len(remTris)+len(addTris))*5)
 	buf = binary.AppendUvarint(buf, uint64(idx))
-	buf = appendF64(buf, level)
+	buf = wire.AppendF64(buf, level)
 	buf = appendTriSet(buf, remTris)
 	buf = appendPairSet(buf, remEdges)
 	buf = appendIDSet(buf, remVerts)
@@ -367,7 +355,7 @@ func encodeBatch(idx int, level float64, prev, next meshState) ([]byte, error) {
 		var flags byte
 		var dy [3]int64
 		for ci, v := range [3]float64{p.X, p.Y, p.Z} {
-			if m, ok := dm.DyadicIndex(v); ok {
+			if m, ok := wire.DyadicIndex(v); ok {
 				flags |= 1 << ci
 				dy[ci] = m
 			}
@@ -375,9 +363,9 @@ func encodeBatch(idx int, level float64, prev, next meshState) ([]byte, error) {
 		buf = append(buf, flags)
 		for ci, v := range [3]float64{p.X, p.Y, p.Z} {
 			if flags&(1<<ci) != 0 {
-				buf = binary.AppendUvarint(buf, zigzag(dy[ci]))
+				buf = binary.AppendUvarint(buf, wire.Zigzag(dy[ci]))
 			} else {
-				buf = appendF64(buf, v)
+				buf = wire.AppendF64(buf, v)
 			}
 		}
 	}

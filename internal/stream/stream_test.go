@@ -2,8 +2,10 @@ package stream_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"dmesh/internal/geom"
 	"dmesh/internal/stream"
 	"dmesh/internal/tilecache"
+	"dmesh/internal/wire"
 )
 
 var (
@@ -28,7 +31,7 @@ type fixture struct {
 
 // fix memoizes one terrain + store + tile cache per dataset; building
 // (simplification above all) dominates test time.
-func fix(t *testing.T, name string) *fixture {
+func fix(t testing.TB, name string) *fixture {
 	t.Helper()
 	fixOnce.Do(func() {
 		fixes = make(map[string]*fixture)
@@ -65,7 +68,7 @@ func randRects(rng *rand.Rand, n int) []geom.Rect {
 
 // encodeStream builds the progressive stream for Q(roi, target) out of
 // the fixture's tile cache, returning the stream and its levels.
-func encodeStream(t *testing.T, f *fixture, roi geom.Rect, band int) *stream.Stream {
+func encodeStream(t testing.TB, f *fixture, roi geom.Rect, band int) *stream.Stream {
 	t.Helper()
 	levels, err := stream.LevelsFor(f.cache.Grid().Ladder(), band)
 	if err != nil {
@@ -99,7 +102,7 @@ func flatten(st *stream.Stream) []byte {
 // for random ROIs and LOD bands, decoding any batch prefix yields
 // exactly (canonical serialization) the direct query answer at that
 // prefix's rung, and the full stream reproduces the direct answer at
-// the target. Run under -race by make streamcheck.
+// the target. Run under -race by make verify.
 func TestStreamPrefixExactness(t *testing.T) {
 	for _, name := range []string{"highland", "crater"} {
 		t.Run(name, func(t *testing.T) {
@@ -244,12 +247,89 @@ func TestStreamResumeHeaderMismatch(t *testing.T) {
 	}
 }
 
+// decodeAll decodes a whole stream, returning each batch's E and mesh
+// snapshot, the decoder, and the first error.
+func decodeAll(b []byte) ([]float64, []*dm.Result, *stream.Decoder, error) {
+	dec := stream.NewDecoder()
+	if err := dec.Attach(bytes.NewReader(b)); err != nil {
+		return nil, nil, dec, err
+	}
+	var levels []float64
+	var meshes []*dm.Result
+	for !dec.Done() {
+		_, e, err := dec.Next()
+		if err != nil {
+			return levels, meshes, dec, err
+		}
+		levels = append(levels, e)
+		meshes = append(meshes, dec.Mesh())
+	}
+	return levels, meshes, dec, nil
+}
+
+// handStream assembles a stream over the unit square by hand: the
+// header for levels, then one frame per payload.
+func handStream(levels []float64, payloads ...[]byte) []byte {
+	b := append([]byte("DMPS"), 1)
+	b = wire.AppendF64(b, 0, 0, 1, 1, levels[len(levels)-1])
+	b = binary.AppendUvarint(b, uint64(len(levels)))
+	for _, p := range payloads {
+		b = binary.AppendUvarint(b, uint64(len(p)))
+		b = append(b, p...)
+	}
+	return b
+}
+
+// handBatch assembles one payload: batch index and E, then the six
+// sections (removed triangles, edges, vertices; added vertices, edges,
+// triangles) as raw bytes.
+func handBatch(idx byte, e float64, sections ...[]byte) []byte {
+	b := wire.AppendF64([]byte{idx}, e)
+	for _, s := range sections {
+		b = append(b, s...)
+	}
+	return b
+}
+
 // TestStreamCorruptionRejected flips single bytes across one encoded
 // stream: the decoder must never panic; any error must be ErrCorrupt or
 // ErrTruncated. (A flip inside raw coordinate bits can decode to a
 // different valid mesh — that is the quantizer's job to care about, not
-// the framing's.)
+// the framing's.) Hand-built streams the encoder never emits must be
+// rejected with ErrCorrupt even where they would decode to a mesh: the
+// codec has one spelling per stream.
 func TestStreamCorruptionRejected(t *testing.T) {
+	none := []byte{0}
+	// Batch 0 adds vertices 0, 1, 2 at (i, i, i)/4096 (dyadic indices
+	// zigzag to 2i), edge (0, 1) and triangle (0, 1, 2).
+	base := handBatch(0, 2, none, none, none,
+		[]byte{3, 0, 7, 0, 0, 0, 1, 7, 2, 2, 2, 1, 7, 4, 4, 4}, []byte{1, 0, 1}, []byte{1, 0, 1, 1})
+	refine := handBatch(1, 1, none, none, none, []byte{1, 3, 7, 6, 6, 6}, none, none)
+	valid := handStream([]float64{2, 1}, base, refine)
+	if levels, meshes, dec, err := decodeAll(valid); err != nil {
+		t.Fatalf("hand-built stream: %v", err)
+	} else if st, err := stream.Encode(dec.Rect(), levels, meshes); err != nil || !bytes.Equal(flatten(st), valid) {
+		t.Fatalf("hand-built stream does not round-trip: %v", err)
+	}
+	rawHalf := wire.AppendF64([]byte{1, 0, 0}, 0.5, 0.1, 0.1) // flags 0: x raw but dyadic
+	nonMinimal := append([]byte(nil), valid[:46]...)          // the 46-byte header
+	nonMinimal = append(append(nonMinimal, byte(len(base))|0x80, 0), valid[47:]...)
+	for name, b := range map[string][]byte{
+		"raw-spelled dyadic coordinate": handStream([]float64{1}, handBatch(0, 1, none, none, none, rawHalf, none, none)),
+		"vertex removed and re-added": handStream([]float64{2, 1}, base,
+			handBatch(1, 1, none, none, []byte{1, 2}, []byte{1, 2, 7, 6, 6, 6}, none, none)),
+		"edge removed and re-added": handStream([]float64{2, 1}, base,
+			handBatch(1, 1, none, []byte{1, 0, 1}, none, none, []byte{1, 0, 1}, none)),
+		"triangle removed and re-added": handStream([]float64{2, 1}, base,
+			handBatch(1, 1, []byte{1, 0, 1, 1}, none, none, none, none, []byte{1, 0, 1, 1})),
+		"NaN batch E":              handStream([]float64{math.NaN()}, handBatch(0, math.NaN(), none, none, none, none, none, none)),
+		"non-minimal frame length": nonMinimal,
+	} {
+		if _, _, _, err := decodeAll(b); !errors.Is(err, stream.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+
 	f := fix(t, "highland")
 	roi := geom.Rect{MinX: 0.25, MinY: 0.25, MaxX: 0.7, MaxY: 0.6}
 	full := flatten(encodeStream(t, f, roi, 0))
@@ -314,4 +394,35 @@ func TestEncoderValidation(t *testing.T) {
 	if _, err := enc.EncodeNext(empty); err == nil {
 		t.Fatal("EncodeNext past the schedule succeeded")
 	}
+}
+
+// FuzzStreamDecode feeds arbitrary bytes to the progressive stream
+// decoder — the bytes a client reads off a possibly cut or corrupted
+// connection. It must never panic, every error must wrap ErrCorrupt or
+// ErrTruncated, and a stream decoded to completion must re-encode, from
+// its decoded batch E values and mesh snapshots, to the bytes the
+// decoder consumed. (The decoder stops at the announced batch count, so
+// bytes after the final frame are never read.)
+func FuzzStreamDecode(f *testing.F) {
+	fx := fix(f, "highland")
+	full := flatten(encodeStream(f, fx, geom.Rect{MinX: 0.3, MinY: 0.3, MaxX: 0.6, MaxY: 0.55}, 1))
+	for i := 0; i <= len(full); i++ {
+		f.Add(full[:i:i])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		levels, meshes, dec, err := decodeAll(data)
+		if err != nil {
+			if !errors.Is(err, stream.ErrCorrupt) && !errors.Is(err, stream.ErrTruncated) {
+				t.Fatalf("error %v wraps neither ErrCorrupt nor ErrTruncated", err)
+			}
+			return
+		}
+		st, err := stream.Encode(dec.Rect(), levels, meshes)
+		if err != nil {
+			t.Fatalf("decoded stream does not re-encode: %v", err)
+		}
+		if re := flatten(st); !bytes.Equal(re, data[:dec.BytesRead()]) {
+			t.Fatalf("decode/encode not the identity:\n in: %x\nout: %x", data[:dec.BytesRead()], re)
+		}
+	})
 }
