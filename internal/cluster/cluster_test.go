@@ -22,7 +22,7 @@ var (
 
 // terrain memoizes the two small test terrains; simplification dominates
 // test time, so every test shares them (stores are built per test).
-func terrain(t *testing.T, name string) *dmesh.Terrain {
+func terrain(t testing.TB, name string) *dmesh.Terrain {
 	t.Helper()
 	terrainOnce.Do(func() {
 		terrains = make(map[string]*dmesh.Terrain)
@@ -53,7 +53,7 @@ func singleNode(t *testing.T, tr *dmesh.Terrain) *tilecache.Cache {
 	return c
 }
 
-func startLocal(t *testing.T, tr *dmesh.Terrain, shards int) *cluster.LocalCluster {
+func startLocal(t testing.TB, tr *dmesh.Terrain, shards int) *cluster.LocalCluster {
 	t.Helper()
 	lc, err := cluster.StartLocal(cluster.LocalConfig{Terrain: tr, Shards: shards})
 	if err != nil {

@@ -13,26 +13,58 @@ import (
 	"dmesh/internal/obs"
 )
 
+// maxPrealloc caps the buffer readBody allocates up front from a
+// declared Content-Length, so a lying header cannot demand an arbitrary
+// allocation; longer bodies are read incrementally and then checked.
+const maxPrealloc = 16 << 20
+
+// readBody reads and closes a shard response body. With a declared
+// Content-Length it reads into one buffer of exactly that size, and a
+// body shorter or longer than declared is corrupt (dm.ErrCorrupt): a cut
+// connection or a misbehaving middlebox, never a short answer. Only an
+// undeclared length falls back to io.ReadAll.
+func readBody(resp *http.Response) ([]byte, error) {
+	defer resp.Body.Close()
+	n := resp.ContentLength
+	if n < 0 {
+		return io.ReadAll(resp.Body)
+	}
+	var body []byte
+	var err error
+	if n <= maxPrealloc {
+		body = make([]byte, n)
+		var got int
+		if got, err = io.ReadFull(resp.Body, body); err == nil {
+			// One more byte would make the body longer than declared.
+			var extra [1]byte
+			got, _ = resp.Body.Read(extra[:])
+			got += len(body)
+		}
+		if err != nil || got != len(body) {
+			return nil, fmt.Errorf("body of %d bytes, %d declared (%v): %w", got, n, err, dm.ErrCorrupt)
+		}
+		return body, nil
+	}
+	body, err = io.ReadAll(io.LimitReader(resp.Body, n+1))
+	if err != nil || int64(len(body)) != n {
+		return nil, fmt.Errorf("body of %d bytes, %d declared (%v): %w", len(body), n, err, dm.ErrCorrupt)
+	}
+	return body, nil
+}
+
 // scrape GETs one shard introspection URL and returns the whole body,
-// enforcing the same truncation discipline as the tile path: a body
-// whose length disagrees with the declared Content-Length is corrupt,
-// not short.
+// with the tile path's truncation discipline (readBody).
 func (rt *Router) scrape(url string) ([]byte, error) {
 	resp, err := rt.client.Get(url)
 	if err != nil {
 		return nil, err
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	body, err := readBody(resp)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: %s: %w", url, err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("cluster: %s: status %d", url, resp.StatusCode)
-	}
-	if resp.ContentLength >= 0 && int64(len(body)) != resp.ContentLength {
-		return nil, fmt.Errorf("cluster: %s: truncated body (%d of %d declared bytes): %w",
-			url, len(body), resp.ContentLength, dm.ErrCorrupt)
 	}
 	return body, nil
 }

@@ -32,7 +32,8 @@ type LocalConfig struct {
 	Terrain *dmesh.Terrain
 	// Shards is the shard count (required, >= 1).
 	Shards int
-	// CacheMaxBytes caps each shard's tile cache (0 = tilecache default).
+	// CacheMaxBytes caps each shard's tile cache and the router's
+	// decoded-patch memo (0 = tilecache default).
 	CacheMaxBytes int
 	// VNodes and MaxAttempts configure the router ring (0 = defaults).
 	VNodes      int
@@ -82,6 +83,8 @@ func StartLocal(cfg LocalConfig) (*LocalCluster, error) {
 		VNodes:      cfg.VNodes,
 		MaxAttempts: cfg.MaxAttempts,
 		Registry:    cfg.Registry,
+		// Budgeted like a shard: the memo holds the same kind of patches.
+		CacheMaxBytes: cfg.CacheMaxBytes,
 	})
 	if err != nil {
 		lc.Close()

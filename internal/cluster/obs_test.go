@@ -165,6 +165,11 @@ func TestClusterMetricsMerged(t *testing.T) {
 	if m := snap.Metrics["tileserver_patch_requests_total"]; m == nil || uint64(m.Value) != shardSum {
 		t.Errorf("merged tileserver_patch_requests_total = %+v, shards hold %d", m, shardSum)
 	}
+	// The router's memo gauge merges in beside the shards' series: the
+	// queries above left decoded patches in it.
+	if m := snap.Metrics["cluster_router_patch_memo_bytes"]; m == nil || m.Kind != "gauge" || m.Value <= 0 {
+		t.Errorf("cluster_router_patch_memo_bytes = %+v, want a positive gauge", m)
+	}
 	// Determinism: no traffic between scrapes, identical pages.
 	_, body2 := fetch()
 	if !bytes.Equal(body, body2) {

@@ -4,7 +4,6 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -46,6 +45,10 @@ type Config struct {
 	Client *http.Client
 	// Registry receives the router metrics (nil = a private registry).
 	Registry *obs.Registry
+	// CacheMaxBytes caps the router's memo of decoded patches, charged
+	// TilePatch.Bytes() plus wire length per tile; same meaning and
+	// default as serve.Config.CacheMaxBytes (0 = 64 MiB).
+	CacheMaxBytes int
 }
 
 // QueryStats describes how one fan-out query was answered.
@@ -77,6 +80,7 @@ type Router struct {
 	grid        *tilecache.Grid
 	maxAttempts int
 	client      *http.Client
+	memo        *patchMemo
 
 	reg        *obs.Registry
 	mQueries   *obs.Counter
@@ -84,6 +88,8 @@ type Router struct {
 	mErrors    *obs.Counter
 	mRedirects *obs.Counter
 	mReplica   *obs.Counter
+	mDecodes   *obs.Counter
+	mMemoHits  *obs.Counter
 	hQueryDA   *obs.Histogram
 	hQueryNs   *obs.Histogram
 
@@ -123,6 +129,13 @@ func NewRouter(cfg Config) (*Router, error) {
 	if maxAttempts < 1 || maxAttempts > len(cfg.Shards) {
 		return nil, fmt.Errorf("cluster: MaxAttempts %d outside [1, %d]", maxAttempts, len(cfg.Shards))
 	}
+	memoBytes := cfg.CacheMaxBytes
+	if memoBytes == 0 {
+		memoBytes = 64 << 20
+	}
+	if memoBytes < 0 {
+		return nil, fmt.Errorf("cluster: negative CacheMaxBytes")
+	}
 	client := cfg.Client
 	if client == nil {
 		tr, _ := http.DefaultTransport.(*http.Transport)
@@ -147,6 +160,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		grid:        cfg.Grid,
 		maxAttempts: maxAttempts,
 		client:      client,
+		memo:        newPatchMemo(memoBytes),
 		reg:         reg,
 		hot:         make(map[tilecache.Key]int),
 		hotSeq:      make(map[tilecache.Key]*uint64),
@@ -156,6 +170,11 @@ func NewRouter(cfg Config) (*Router, error) {
 	rt.mErrors = reg.Counter("cluster_router_shard_errors_total", "failed shard attempts (transport error or non-200)")
 	rt.mRedirects = reg.Counter("cluster_router_redirects_total", "tiles served by a later candidate after a shard failure")
 	rt.mReplica = reg.Counter("cluster_router_replicated_tiles_total", "hot-tile replica warm-ups issued by Rebalance")
+	rt.mDecodes = reg.Counter("cluster_router_patch_decodes_total", "tile patches decoded from a body the memo did not hold")
+	rt.mMemoHits = reg.Counter("cluster_router_patch_memo_hits_total", "tile fetches answered by the decoded-patch memo")
+	reg.GaugeFunc("cluster_router_patch_memo_bytes", "bytes held by the decoded-patch memo", func() int64 {
+		return int64(rt.memo.size())
+	})
 	rt.hQueryDA = reg.Histogram("cluster_router_query_disk_accesses", "shard disk accesses per fan-out query")
 	rt.hQueryNs = reg.Histogram("cluster_router_query_latency_nanos", "fan-out query latency in nanoseconds")
 	return rt, nil
@@ -255,7 +274,9 @@ func (rt *Router) fetchTile(k tilecache.Key, tr *obs.Trace) (f tileFetch) {
 	return f
 }
 
-// getPatch issues one /patch request and decodes the body. Any
+// getPatch issues one /patch request and decodes the body, or takes the
+// patch from the memo when the body equals the bytes it was decoded
+// from (patchMemo); only a successful decode replaces a memo entry. Any
 // transport error, non-200 status, truncated body, or undecodable body
 // is a failed attempt — the fail-stop model treats them all as "this
 // shard cannot serve the tile right now", and fetchTile fails over to
@@ -272,26 +293,24 @@ func (rt *Router) getPatch(base string, k tilecache.Key, traced bool) (*dm.TileP
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	// The shard declares Content-Length on /patch; readBody fails a
+	// body of any other length.
+	body, err := readBody(resp)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, nil, fmt.Errorf("cluster: %s: %w", url, err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, 0, nil, fmt.Errorf("cluster: %s: status %d: %s", url, resp.StatusCode, body)
 	}
-	// The shard declares Content-Length on /patch; a body of any other
-	// length is a cut connection or a misbehaving middlebox. (When the
-	// declared length exceeds the bytes sent, Go's transport already
-	// fails the read above; this catches the short-declaration flavor,
-	// where the body "completes" at the wrong size.)
-	if resp.ContentLength >= 0 && int64(len(body)) != resp.ContentLength {
-		return nil, 0, nil, fmt.Errorf("cluster: %s: truncated body (%d of %d declared bytes): %w",
-			url, len(body), resp.ContentLength, dm.ErrCorrupt)
-	}
-	tp, err := dm.DecodeTilePatch(body)
-	if err != nil {
-		return nil, 0, nil, err
+	tp, hit := rt.memo.get(k, body)
+	if hit {
+		rt.mMemoHits.Inc()
+	} else {
+		if tp, err = dm.DecodeTilePatch(body); err != nil {
+			return nil, 0, nil, err
+		}
+		rt.mDecodes.Inc()
+		rt.memo.put(k, body, tp)
 	}
 	da, _ := strconv.ParseUint(resp.Header.Get("X-DM-DA"), 10, 64)
 	var wt *obs.WireTrace

@@ -3,7 +3,7 @@ package dm
 import (
 	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
 
 	"dmesh/internal/geom"
 	"dmesh/internal/wire"
@@ -49,7 +49,7 @@ func EncodeTilePatch(tp *TilePatch) []byte {
 	for id := range tp.Nodes {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	buf = binary.AppendUvarint(buf, uint64(len(ids)))
 	for _, id := range ids {
 		n := tp.Nodes[id]

@@ -1,9 +1,10 @@
 package rtree
 
 import (
+	"cmp"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 
 	"dmesh/internal/geom"
 	"dmesh/internal/storage/pager"
@@ -144,15 +145,14 @@ func sortByCenter(es []entry, axis int) {
 			return e.box.MinE + e.box.MaxE
 		}
 	}
-	sort.SliceStable(es, func(i, j int) bool {
+	slices.SortStableFunc(es, func(x, y entry) int {
 		for d := 0; d < 3; d++ {
 			a := (axis + d) % 3
-			ci, cj := center(es[i], a), center(es[j], a)
-			if ci != cj {
-				return ci < cj
+			if c := cmp.Compare(center(x, a), center(y, a)); c != 0 {
+				return c
 			}
 		}
-		return es[i].ref < es[j].ref
+		return cmp.Compare(x.ref, y.ref)
 	})
 }
 

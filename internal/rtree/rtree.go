@@ -7,10 +7,11 @@
 package rtree
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dmesh/internal/geom"
 	"dmesh/internal/storage/pager"
@@ -357,7 +358,7 @@ func (t *Tree) forceReinsertPrep(n *node) ([]entry, error) {
 	for i, e := range n.entries {
 		ds[i] = de{e, e.box.Center().Sub(c).Norm()}
 	}
-	sort.SliceStable(ds, func(i, j int) bool { return ds[i].d > ds[j].d }) // farthest first
+	slices.SortStableFunc(ds, func(x, y de) int { return cmp.Compare(y.d, x.d) }) // farthest first
 	removed := make([]entry, reinsertCount)
 	for i := 0; i < reinsertCount; i++ {
 		removed[i] = ds[i].e
@@ -387,10 +388,6 @@ func (t *Tree) split(n *node) (left, right *node) {
 	if m < 1 {
 		m = 1
 	}
-	type axisSort struct {
-		byLower func(i, j int) bool
-		byUpper func(i, j int) bool
-	}
 	lower := []func(e entry) float64{
 		func(e entry) float64 { return e.box.MinX },
 		func(e entry) float64 { return e.box.MinY },
@@ -412,11 +409,11 @@ func (t *Tree) split(n *node) (left, right *node) {
 			if pass == 1 {
 				key, tie = upper[axis], lower[axis]
 			}
-			sort.SliceStable(s, func(i, j int) bool {
-				if key(s[i]) != key(s[j]) {
-					return key(s[i]) < key(s[j])
+			slices.SortStableFunc(s, func(x, y entry) int {
+				if c := cmp.Compare(key(x), key(y)); c != 0 {
+					return c
 				}
-				return tie(s[i]) < tie(s[j])
+				return cmp.Compare(tie(x), tie(y))
 			})
 			margin := 0.0
 			for k := m; k <= len(s)-m; k++ {

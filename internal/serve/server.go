@@ -46,7 +46,6 @@ import (
 	"time"
 
 	"dmesh"
-	"dmesh/internal/dm"
 	"dmesh/internal/geom"
 	"dmesh/internal/obs"
 	"dmesh/internal/stream"
@@ -190,6 +189,9 @@ func New(cfg Config) (*Server, error) {
 	})
 	s.reg.GaugeFunc("tileserver_cache_bytes", "estimated resident tile-cache bytes", func() int64 {
 		return int64(cache.Stats().Bytes)
+	})
+	s.reg.GaugeFunc("tileserver_cache_wire_bytes", "wire encodings kept beside resident tile-cache patches", func() int64 {
+		return int64(cache.Stats().WireBytes)
 	})
 	s.reg.GaugeFunc("tileserver_cameras_active", "retained coherent sessions", func() int64 {
 		s.camMu.Lock()
@@ -567,7 +569,7 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 		tr = dmesh.NewQueryTrace(nil)
 	}
 	start := time.Now()
-	tp, st, err := s.cache.PatchTraced(k, tr)
+	body, st, err := s.cache.PatchWireTraced(k, tr)
 	if err != nil {
 		if errors.Is(err, tilecache.ErrInvalidKey) {
 			s.jsonError(w, http.StatusBadRequest, err)
@@ -584,11 +586,11 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 	s.hPatchNs.Observe(uint64(dur))
 	s.slow.Observe(fmt.Sprintf("patch key=%s cold=%t", k, st.Cold), dur, st.DA, tr)
 
-	// Encode fully before the header goes out: with Content-Length
-	// declared, a write that dies mid-body surfaces at the router as a
-	// short read (a failed attempt eligible for failover) instead of a
-	// clean-looking truncated 200.
-	body := dm.EncodeTilePatch(tp)
+	// The body is fully encoded (once per resident tile, kept by the
+	// cache) before the header goes out: with Content-Length declared, a
+	// write that dies mid-body surfaces at the router as a short read (a
+	// failed attempt eligible for failover) instead of a clean-looking
+	// truncated 200.
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Header().Set("X-DM-DA", strconv.FormatUint(st.DA, 10))

@@ -28,7 +28,10 @@ type Config struct {
 	MaxLevel int
 	// MaxBytes is the byte budget for resident patches (estimated with
 	// TilePatch.Bytes). Default 64 MiB. Patches larger than the whole
-	// budget are served but not retained.
+	// budget are served but not retained. The wire encodings
+	// PatchWireTraced keeps beside resident patches are not charged to
+	// it (see Stats.WireBytes), so eviction order does not depend on
+	// which tiles were also served remotely.
 	MaxBytes int
 }
 
@@ -45,6 +48,7 @@ type Stats struct {
 	Entries        int    // resident patches
 	Bytes          int    // estimated resident bytes
 	UnretainedOver int    // patches served but too large to retain
+	WireBytes      int    // wire encodings kept beside resident patches
 }
 
 // TileStat is the per-tile accounting view: how hot a resident tile is
@@ -70,6 +74,7 @@ type QueryStats struct {
 // entry is one resident patch plus its GreedyDual-Size-Frequency state.
 type entry struct {
 	patch *dm.TilePatch
+	wire  []byte // EncodeTilePatch(patch), set by the first PatchWireTraced
 	bytes int
 	hits  uint64
 	cost  uint64  // materialization disk accesses
@@ -99,6 +104,7 @@ type Cache struct {
 	entries map[Key]*entry
 	flights map[Key]*flight
 	bytes   int
+	wire    int     // total len of resident entries' wire encodings
 	clockL  float64 // GDSF inflation clock: priority floor for new entries
 	gen     uint64  // bumped by invalidation; stale flights don't insert
 	stats   Stats
@@ -266,8 +272,7 @@ func (c *Cache) insertLocked(k Key, p *dm.TilePatch, cost uint64) {
 		if vent.pri > c.clockL {
 			c.clockL = vent.pri
 		}
-		c.bytes -= vent.bytes
-		delete(c.entries, victim)
+		c.dropLocked(victim, vent)
 		c.stats.Evictions++
 	}
 	ent := &entry{patch: p, bytes: bytes, cost: cost}
@@ -286,10 +291,16 @@ func (c *Cache) Invalidate(r geom.Rect) {
 	c.stats.Invalidations++
 	for k, ent := range c.entries {
 		if ent.patch.Rect.Intersects(r) {
-			c.bytes -= ent.bytes
-			delete(c.entries, k)
+			c.dropLocked(k, ent)
 		}
 	}
+}
+
+// dropLocked removes a resident entry together with its wire encoding.
+func (c *Cache) dropLocked(k Key, ent *entry) {
+	c.bytes -= ent.bytes
+	c.wire -= len(ent.wire)
+	delete(c.entries, k)
 }
 
 // InvalidateAll drops every resident tile.
@@ -300,6 +311,7 @@ func (c *Cache) InvalidateAll() {
 	c.stats.Invalidations++
 	c.entries = make(map[Key]*entry)
 	c.bytes = 0
+	c.wire = 0
 }
 
 // Stats snapshots the cache counters.
@@ -309,6 +321,7 @@ func (c *Cache) Stats() Stats {
 	st := c.stats
 	st.Entries = len(c.entries)
 	st.Bytes = c.bytes
+	st.WireBytes = c.wire
 	return st
 }
 
@@ -366,6 +379,41 @@ func (c *Cache) PatchTraced(k Key, tr *obs.Trace) (*dm.TilePatch, PatchStats, er
 		return nil, PatchStats{}, fmt.Errorf("tilecache: tile %+v: %w", k, err)
 	}
 	return p, PatchStats{DA: da, Cold: cold, Deduped: deduped}, nil
+}
+
+// PatchWireTraced returns the DMTP wire encoding of one tile — exactly
+// dm.EncodeTilePatch of the patch PatchTraced returns — with the same
+// lookup, materialization, accounting and spans. A resident tile is
+// encoded once, on its first PatchWireTraced, and its encoding is kept
+// with the entry until the entry is evicted or invalidated, so a shard's
+// steady-state /patch is a byte copy. Tiles the cache does not retain
+// are encoded per call. The returned slice is shared: callers must not
+// modify it.
+func (c *Cache) PatchWireTraced(k Key, tr *obs.Trace) ([]byte, PatchStats, error) {
+	p, st, err := c.PatchTraced(k, tr)
+	if err != nil {
+		return nil, st, err
+	}
+	// Encoding runs outside the lock; two first requests racing on one
+	// tile may both encode, and the first to finish is kept. The entry
+	// must still hold this very patch: an invalidated or re-materialized
+	// tile never inherits another patch's bytes.
+	c.mu.Lock()
+	ent := c.entries[k]
+	if ent != nil && ent.patch == p && ent.wire != nil {
+		w := ent.wire
+		c.mu.Unlock()
+		return w, st, nil
+	}
+	c.mu.Unlock()
+	w := dm.EncodeTilePatch(p)
+	c.mu.Lock()
+	if ent := c.entries[k]; ent != nil && ent.patch == p && ent.wire == nil {
+		ent.wire = w
+		c.wire += len(w)
+	}
+	c.mu.Unlock()
+	return w, st, nil
 }
 
 // TopK ranks tile stats by hit count, hottest first, with Key total-order
