@@ -24,6 +24,13 @@ const maxPrealloc = 16 << 20
 // connection or a misbehaving middlebox, never a short answer. Only an
 // undeclared length falls back to io.ReadAll.
 func readBody(resp *http.Response) ([]byte, error) {
+	return readBodyInto(resp, nil)
+}
+
+// readBodyInto is readBody reading into buf's storage when its capacity
+// holds the declared length; otherwise it allocates. The returned body
+// may alias buf.
+func readBodyInto(resp *http.Response, buf []byte) ([]byte, error) {
 	defer resp.Body.Close()
 	n := resp.ContentLength
 	if n < 0 {
@@ -32,7 +39,11 @@ func readBody(resp *http.Response) ([]byte, error) {
 	var body []byte
 	var err error
 	if n <= maxPrealloc {
-		body = make([]byte, n)
+		if int64(cap(buf)) >= n {
+			body = buf[:n]
+		} else {
+			body = make([]byte, n)
+		}
 		var got int
 		if got, err = io.ReadFull(resp.Body, body); err == nil {
 			// One more byte would make the body longer than declared.

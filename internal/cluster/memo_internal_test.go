@@ -3,15 +3,18 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dmesh"
 	"dmesh/internal/dm"
+	"dmesh/internal/geom"
 	"dmesh/internal/obs"
 	"dmesh/internal/serve"
 	"dmesh/internal/tilecache"
@@ -195,6 +198,166 @@ func TestReadBody(t *testing.T) {
 	for _, declared := range []int64{9, 11, 0} {
 		if _, err := readBody(resp(body, declared)); !errors.Is(err, dm.ErrCorrupt) {
 			t.Fatalf("%d bytes declared for 10: %v, want dm.ErrCorrupt", declared, err)
+		}
+		if _, err := readBodyInto(resp(body, declared), make([]byte, 0, 64)); !errors.Is(err, dm.ErrCorrupt) {
+			t.Fatalf("into a buffer, %d bytes declared for 10: %v, want dm.ErrCorrupt", declared, err)
+		}
+	}
+	// A buffer holding the declared length is reused; a smaller one is not.
+	buf := make([]byte, 3, 64)
+	if got, err := readBodyInto(resp(body, 10), buf); err != nil || !bytes.Equal(got, body) || &got[0] != &buf[:1][0] {
+		t.Fatalf("into a large buffer: %q, %v (or buffer not reused)", got, err)
+	}
+	small := make([]byte, 0, 9)
+	if got, err := readBodyInto(resp(body, 10), small); err != nil || !bytes.Equal(got, body) || &got[0] == &small[:1][0] {
+		t.Fatalf("into a small buffer: %q, %v", got, err)
+	}
+}
+
+// twinShard fronts a real shard handler and varies its /patch answers
+// per request: a flaky shard fails every other request (status 503, or
+// a body cut short of its declared length) and serves the real body
+// otherwise; any other shard serves, on every other request, a second
+// valid body for the same key — the patch re-encoded with
+// FetchedRecords bumped, which changes the bytes but not the mesh.
+type twinShard struct {
+	h     http.Handler
+	flaky bool
+	n     atomic.Uint64
+}
+
+func (s *twinShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	rec := httptest.NewRecorder()
+	s.h.ServeHTTP(rec, r)
+	body, declared, status := rec.Body.Bytes(), rec.Body.Len(), rec.Code
+	if r.URL.Path == "/patch" && status == http.StatusOK {
+		switch n := s.n.Add(1); {
+		case s.flaky && n%4 == 1:
+			body, status = []byte("shard overloaded"), http.StatusServiceUnavailable
+			declared = len(body)
+		case s.flaky && n%4 == 3:
+			body = body[:len(body)/2]
+		case !s.flaky && n%2 == 0:
+			tp, err := dm.DecodeTilePatch(body)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			tp.FetchedRecords++
+			body = dm.EncodeTilePatch(tp)
+			declared = len(body)
+		}
+	}
+	for k, v := range rec.Header() {
+		w.Header()[k] = v
+	}
+	w.Header().Set("Content-Length", strconv.Itoa(declared))
+	w.WriteHeader(status)
+	w.Write(body)
+}
+
+// TestPooledBodiesNeverAliasMemo drives the pooled body buffers from 8
+// goroutines against one tile key whose bytes keep changing between two
+// valid bodies, interleaved with failed fetches. Every answer must be
+// the single-node answer; every memo entry's wire must stay the body its
+// patch was decoded from, so no recycled buffer ever overwrites it; and
+// no buffer left in the pool may be one the memo owns.
+func TestPooledBodiesNeverAliasMemo(t *testing.T) {
+	tr, err := dmesh.Build(dmesh.Config{Dataset: "highland", Size: 17, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := serve.New(serve.Config{Terrain: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shards [2]*twinShard
+	var urls []string
+	for i := range shards {
+		shards[i] = &twinShard{h: s.Handler(false)}
+		ts := httptest.NewServer(shards[i])
+		defer ts.Close()
+		urls = append(urls, ts.URL)
+	}
+	reg := obs.NewRegistry()
+	rt, err := NewRouter(Config{Shards: urls, Grid: s.Grid(), MaxAttempts: 2, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := geom.Rect{MinX: 0.26, MinY: 0.26, MaxX: 0.49, MaxY: 0.49} // inside one level-2 tile
+	e := tr.LODPercentile(0.2)
+	band, _ := s.Grid().SnapE(e)
+	keys := s.Grid().Cover(r, s.Grid().LevelFor(r), band)
+	if len(keys) != 1 {
+		t.Fatalf("ROI covers %d tiles, want 1", len(keys))
+	}
+	// The key's first candidate fails every other fetch, so the second
+	// one serves the twin bodies half the time.
+	shards[rt.candidates(keys[0])[0]].flaky = true
+	direct, _, err := s.Cache().Query(r, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(direct.Triangles) == 0 {
+		t.Fatal("empty single-node answer")
+	}
+	want := dm.CanonicalMesh(direct)
+
+	memoIntact := func() error {
+		rt.memo.mu.Lock()
+		defer rt.memo.mu.Unlock()
+		for el := rt.memo.lru.Front(); el != nil; el = el.Next() {
+			me := el.Value.(*memoEntry)
+			if !bytes.Equal(dm.EncodeTilePatch(me.tp), me.wire) {
+				return fmt.Errorf("memo entry %s: wire is no longer the body its patch was decoded from", me.key)
+			}
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				res, _, err := rt.Query(r, e)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(dm.CanonicalMesh(res), want) {
+					t.Error("cluster answer differs from the single-node answer")
+					return
+				}
+				if err := memoIntact(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	decodes := reg.Counter("cluster_router_patch_decodes_total", "").Value()
+	hits := reg.Counter("cluster_router_patch_memo_hits_total", "").Value()
+	errs := reg.Counter("cluster_router_shard_errors_total", "").Value()
+	if decodes < 2 || hits == 0 || errs == 0 {
+		t.Fatalf("decodes %d, memo hits %d, shard errors %d: want body changes, hits and failures", decodes, hits, errs)
+	}
+	var owned [][]byte
+	rt.memo.mu.Lock()
+	for el := rt.memo.lru.Front(); el != nil; el = el.Next() {
+		owned = append(owned, el.Value.(*memoEntry).wire)
+	}
+	rt.memo.mu.Unlock()
+	for i := 0; i < 64; i++ {
+		bp := bodyPool.Get().(*[]byte)
+		for _, w := range owned {
+			if cap(*bp) > 0 && cap(w) > 0 && &(*bp)[:1][0] == &w[:1][0] {
+				t.Fatal("the body pool holds a buffer the memo owns")
+			}
 		}
 	}
 }

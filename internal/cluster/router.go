@@ -274,6 +274,12 @@ func (rt *Router) fetchTile(k tilecache.Key, tr *obs.Trace) (f tileFetch) {
 	return f
 }
 
+// bodyPool recycles /patch body buffers across fetches, so a warm fetch
+// answered by the memo allocates no body. A buffer goes back only while
+// nothing else references it; a decoded body is the memo's and is never
+// recycled.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
 // getPatch issues one /patch request and decodes the body, or takes the
 // patch from the memo when the body equals the bytes it was decoded
 // from (patchMemo); only a successful decode replaces a memo entry. Any
@@ -294,11 +300,16 @@ func (rt *Router) getPatch(base string, k tilecache.Key, traced bool) (*dm.TileP
 		return nil, 0, nil, err
 	}
 	// The shard declares Content-Length on /patch; readBody fails a
-	// body of any other length.
-	body, err := readBody(resp)
+	// body of any other length. The body is read into a pooled buffer,
+	// recycled on return unless it was decoded and so became the memo
+	// entry's wire.
+	bp := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(bp)
+	body, err := readBodyInto(resp, *bp)
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("cluster: %s: %w", url, err)
 	}
+	*bp = body
 	if resp.StatusCode != http.StatusOK {
 		return nil, 0, nil, fmt.Errorf("cluster: %s: status %d: %s", url, resp.StatusCode, body)
 	}
@@ -311,6 +322,7 @@ func (rt *Router) getPatch(base string, k tilecache.Key, traced bool) (*dm.TileP
 		}
 		rt.mDecodes.Inc()
 		rt.memo.put(k, body, tp)
+		*bp = nil // the memo owns body now
 	}
 	da, _ := strconv.ParseUint(resp.Header.Get("X-DM-DA"), 10, 64)
 	var wt *obs.WireTrace

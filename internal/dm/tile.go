@@ -2,7 +2,7 @@ package dm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dmesh/internal/geom"
 	"dmesh/internal/obs"
@@ -31,7 +31,8 @@ type TilePatch struct {
 
 	// edges and tris are the intra-tile mesh: connection pairs (and the
 	// 3-cliques they close) with both endpoints in Nodes. Sorted for
-	// deterministic patch content.
+	// deterministic patch content. tris travels on the tile wire, but
+	// StitchTiles derives triangles from edges and does not read it.
 	edges [][2]int64
 	tris  []geom.Triangle
 	// outPairs are connection pairs (a, c) with a in Nodes and c not: c
@@ -91,47 +92,21 @@ func (s *Store) MaterializeTile(r geom.Rect, e float64) (*TilePatch, error) {
 		}
 	}
 	tp := &TilePatch{Rect: r, E: e, Nodes: live, FetchedRecords: nf}
-	adj := make(map[int64][]int64, len(live))
 	for id, n := range live {
 		for _, c := range n.Conn {
 			if _, ok := live[c]; ok {
 				if c > id { // count each intra pair once
 					tp.edges = append(tp.edges, [2]int64{id, c})
-					adj[id] = append(adj[id], c)
-					adj[c] = append(adj[c], id)
 				}
 			} else {
 				tp.outPairs = append(tp.outPairs, [2]int64{id, c})
 			}
 		}
 	}
-	tp.tris = trianglesFromAdjacency(adj)
-	sortEdgeSlice(tp.edges)
-	sortEdgeSlice(tp.outPairs)
-	sortTriSlice(tp.tris)
+	slices.SortFunc(tp.edges, geom.CompareEdges)
+	slices.SortFunc(tp.outPairs, geom.CompareEdges)
+	tp.tris = sortedEdgeCliques(tp.edges)
 	return tp, nil
-}
-
-func sortEdgeSlice(es [][2]int64) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i][0] != es[j][0] {
-			return es[i][0] < es[j][0]
-		}
-		return es[i][1] < es[j][1]
-	})
-}
-
-func sortTriSlice(ts []geom.Triangle) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		if a.B != b.B {
-			return a.B < b.B
-		}
-		return a.C < b.C
-	})
 }
 
 // StitchTiles assembles the answer to Q(r, e) from tile patches whose
@@ -139,25 +114,32 @@ func sortTriSlice(ts []geom.Triangle) {
 // is exactly equal (as vertex/edge/triangle sets) to ViewpointIndependent
 // (r, e) on the same store, with zero store I/O.
 //
-// The stitch walks connection lists across tile seams: interior tiles
-// (footprint fully inside r) contribute their precomputed mesh wholesale;
-// boundary tiles are clipped edge by edge; out-going pairs resolve
-// against the combined live set, closing cross-tile triangles through the
-// patch-mesh common-neighbor walk; a final sweep over nodes shared by
-// several tiles closes the corner triangles whose every edge was
-// bulk-merged from a different tile.
+// The stitch is one flat pass over the patches' connection pairs: nodes
+// are clipped to r; interior tiles (footprint fully inside r) contribute
+// their intra-tile edges wholesale, boundary tiles only the edges whose
+// endpoints both survived the clip, and every tile's out-going pairs
+// resolve against the combined live set. The candidates, sorted and
+// deduplicated, are the edge set of the direct query over r, and the
+// triangles are its 3-cliques — the direct query's own rule
+// (trianglesFromAdjacency), so no tile's triangle list is consulted.
+// The result's edges and triangles come out sorted.
+//
+// The input patches are only read, never modified: decoded or cached
+// patches can be stitched by any number of concurrent queries.
 func StitchTiles(r geom.Rect, e float64, tiles []*TilePatch) (*Result, error) {
 	return StitchTilesTraced(r, e, tiles, nil)
 }
 
 // StitchTilesTraced is StitchTiles emitting phase spans on tr (which may
 // be nil): the whole stitch under one stitch span, with the seam
-// resolution and corner sweep itemized as a seam-closure child.
+// resolution, the edge sort and the clique listing itemized as a
+// seam-closure child.
 func StitchTilesTraced(r geom.Rect, e float64, tiles []*TilePatch, tr *obs.Trace) (*Result, error) {
 	tr.Begin(obs.PhaseStitch)
 	defer tr.End()
-	live := make(map[int64]*Node)
-	shared := make(map[int64]struct{})
+	// Count the clipped nodes first: a cover can hold several times the
+	// ROI's nodes, and the count sizes the vertex map and edge list.
+	nLive := 0
 	for _, tp := range tiles {
 		if tp == nil {
 			return nil, fmt.Errorf("dm: stitch: nil tile patch")
@@ -165,85 +147,115 @@ func StitchTilesTraced(r geom.Rect, e float64, tiles []*TilePatch, tr *obs.Trace
 		if tp.E != e {
 			return nil, fmt.Errorf("dm: stitch: tile %v materialized at LOD %g, want %g", tp.Rect, tp.E, e)
 		}
-		for id, n := range tp.Nodes {
-			if !r.ContainsPoint(n.Pos.XY()) {
-				continue // clip to the true ROI
+		for _, n := range tp.Nodes {
+			if r.ContainsPoint(n.Pos.XY()) {
+				nLive++
 			}
-			if _, ok := live[id]; ok {
-				shared[id] = struct{}{} // tile-boundary node, seen before
-				continue
-			}
-			live[id] = n
 		}
+	}
+	res := &Result{Vertices: make(map[int64]geom.Point3, nLive), Strips: len(tiles)}
+	for _, tp := range tiles {
+		for id, n := range tp.Nodes {
+			if r.ContainsPoint(n.Pos.XY()) { // clip to the true ROI
+				res.Vertices[id] = n.Pos
+			}
+		}
+	}
+	live := func(id int64) bool {
+		_, ok := res.Vertices[id]
+		return ok
 	}
 
-	p := newPatchMesh()
-	// Interior tiles: every node is inside r, so the precomputed mesh
-	// merges without per-edge liveness checks or closure walks.
-	for _, tp := range tiles {
-		if !r.ContainsRect(tp.Rect) {
-			continue
-		}
-		for _, ed := range tp.edges {
-			if p.edgeCount[ed] == 0 { // duplicate on a shared tile boundary
-				p.edgeCount[ed] = 1
-				p.link(ed[0], ed[1])
-				p.link(ed[1], ed[0])
-			}
-		}
-		for _, tr := range tp.tris {
-			p.tris[tr] = struct{}{}
-		}
-	}
-	// addIfLive inserts one edge incrementally: both endpoints must have
-	// survived the ROI clip, and the patch-mesh addEdge walk closes every
-	// triangle the new edge completes against the mesh built so far.
-	addIfLive := func(a, b int64) {
-		if _, ok := live[a]; !ok {
-			return
-		}
-		if _, ok := live[b]; !ok {
-			return
-		}
-		k := edgeKey(a, b)
-		if p.edgeCount[k] == 0 {
-			p.inc(k)
-		}
-	}
-	// Boundary tiles: the ROI edge cuts through them, so their intra
-	// edges are re-checked against the clipped live set.
+	edges := make([][2]int64, 0, 3*nLive) // a triangulation has ~3 edges per vertex
 	for _, tp := range tiles {
 		if r.ContainsRect(tp.Rect) {
+			// Interior tile: every node survived the clip.
+			edges = append(edges, tp.edges...)
 			continue
 		}
 		for _, ed := range tp.edges {
-			addIfLive(ed[0], ed[1])
+			if live(ed[0]) && live(ed[1]) {
+				edges = append(edges, ed)
+			}
 		}
 	}
 	// Seams: out-going pairs of every tile, resolved against the combined
-	// live set (each cross-tile pair is recorded by both sides; the edge
-	// set dedups).
+	// live set. A pair (a, c) with a > c is skipped unread: the tile
+	// holding c records (c, a) too, as an intra edge or an out-going
+	// pair of its own. Pairs are sorted by owner, so a clipped owner's
+	// whole run is skipped with one lookup.
 	tr.Begin(obs.PhaseSeam)
 	for _, tp := range tiles {
-		for _, pr := range tp.outPairs {
-			addIfLive(pr[0], pr[1])
+		ps := tp.outPairs
+		for i := 0; i < len(ps); {
+			a := ps[i][0]
+			j := i + 1
+			for j < len(ps) && ps[j][0] == a {
+				j++
+			}
+			if live(a) {
+				for _, pr := range ps[i:j] {
+					if pr[1] > a && live(pr[1]) {
+						edges = append(edges, pr)
+					}
+				}
+			}
+			i = j
 		}
 	}
-	// Corner sweep: a triangle whose three edges were each bulk-merged
-	// from a different interior tile is in no tile's triangle set and no
-	// incremental closure saw it. All its vertices then lie on tile
-	// boundaries (each appears in at least two tiles), so walking the
-	// shared nodes' neighborhoods finds every such clique.
-	for u := range shared {
-		for v := range p.adj[u] {
-			p.forEachCommonNeighbor(u, v, func(w int64) {
-				p.tris[canonTriangle(u, v, w)] = struct{}{}
-			})
-		}
-	}
+	slices.SortFunc(edges, geom.CompareEdges)
+	res.Edges = slices.Compact(edges)
+	res.Triangles = sortedEdgeCliques(res.Edges)
 	tr.End()
-
-	res := p.result(live)
-	res.Strips = len(tiles)
 	return res, nil
+}
+
+// sortedEdgeCliques lists the 3-cliques of the graph whose edges are es,
+// which must be sorted (geom.CompareEdges), duplicate-free and have
+// es[i][0] < es[i][1]. Each vertex's higher neighbours then form one
+// ascending run, and every triangle u < v < w is found once, at its
+// lowest edge (u, v), by merge-intersecting u's run past v with v's run.
+// The triangles come out canonical and sorted.
+func sortedEdgeCliques(es [][2]int64) []geom.Triangle {
+	var tris []geom.Triangle
+	for i := 0; i < len(es); {
+		u := es[i][0]
+		end := i + 1
+		for end < len(es) && es[end][0] == u {
+			end++
+		}
+		for ; i < end; i++ {
+			v := es[i][1]
+			if i+1 == end {
+				continue // v is u's highest neighbour: no w > v to close
+			}
+			// v > u, so v's run starts past u's: find it by bisection.
+			lo, hi := end, len(es)
+			for lo < hi {
+				m := int(uint(lo+hi) >> 1)
+				if es[m][0] < v {
+					lo = m + 1
+				} else {
+					hi = m
+				}
+			}
+			j, k := i+1, lo
+			for j < end && k < len(es) && es[k][0] == v {
+				switch {
+				case es[j][1] < es[k][1]:
+					j++
+				case es[j][1] > es[k][1]:
+					k++
+				default:
+					if tris == nil { // a triangulation has ~2 faces per 3 edges
+						tris = make([]geom.Triangle, 0, 2*len(es)/3)
+					}
+					tris = append(tris, geom.Triangle{A: u, B: v, C: es[j][1]})
+					j++
+					k++
+				}
+			}
+		}
+	}
+	return tris
 }

@@ -1,6 +1,7 @@
 package dm
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -53,25 +54,66 @@ func tileCover(s *Store, r geom.Rect, level int) []geom.Rect {
 	return out
 }
 
+// stitchAgainstDirect stitches r's tile cover at e, both from the
+// materialized patches and from their wire round trips (the router's
+// input), and requires each answer to equal the direct query, to be in
+// canonical form, and to leave every input patch's encoding unchanged.
 func stitchAgainstDirect(t *testing.T, s *Store, label string, r geom.Rect, e float64, level int) {
 	t.Helper()
-	var tiles []*TilePatch
+	var tiles, decoded []*TilePatch
+	var wires [][]byte
 	for _, tr := range tileCover(s, r, level) {
 		tp, err := s.MaterializeTile(tr, e)
 		if err != nil {
 			t.Fatalf("%s: materialize %v: %v", label, tr, err)
 		}
-		tiles = append(tiles, tp)
-	}
-	got, err := StitchTiles(r, e, tiles)
-	if err != nil {
-		t.Fatalf("%s: stitch: %v", label, err)
+		w := EncodeTilePatch(tp)
+		dec, err := DecodeTilePatch(w)
+		if err != nil {
+			t.Fatalf("%s: decode %v: %v", label, tr, err)
+		}
+		tiles, decoded, wires = append(tiles, tp), append(decoded, dec), append(wires, w)
 	}
 	want, err := s.ViewpointIndependent(r, e)
 	if err != nil {
 		t.Fatalf("%s: direct: %v", label, err)
 	}
-	requireSameMesh(t, label, got, want)
+	for _, in := range []struct {
+		name  string
+		tiles []*TilePatch
+	}{{"", tiles}, {" decoded", decoded}} {
+		got, err := StitchTiles(r, e, in.tiles)
+		if err != nil {
+			t.Fatalf("%s%s: stitch: %v", label, in.name, err)
+		}
+		requireSameMesh(t, label+in.name, got, want)
+		requireCanonicalMesh(t, label+in.name, got)
+		for i, tp := range in.tiles {
+			if !bytes.Equal(EncodeTilePatch(tp), wires[i]) {
+				t.Fatalf("%s%s: stitch modified input tile %d", label, in.name, i)
+			}
+		}
+	}
+}
+
+// requireCanonicalMesh checks the stitch's output form: every edge once
+// with its low endpoint first, every triangle once and canonical.
+func requireCanonicalMesh(t *testing.T, label string, res *Result) {
+	t.Helper()
+	edges := make(map[[2]int64]bool, len(res.Edges))
+	for _, ed := range res.Edges {
+		if ed[0] >= ed[1] || edges[ed] {
+			t.Fatalf("%s: edge %v reversed, degenerate or repeated", label, ed)
+		}
+		edges[ed] = true
+	}
+	tris := make(map[geom.Triangle]bool, len(res.Triangles))
+	for _, tri := range res.Triangles {
+		if tri != tri.Canon() || tri.Degenerate() || tris[tri] {
+			t.Fatalf("%s: triangle %v not canonical, degenerate or repeated", label, tri)
+		}
+		tris[tri] = true
+	}
 }
 
 // TestMaterializeTileContent checks that a patch's live set is exactly
@@ -161,5 +203,38 @@ func TestStitchTilesLODMismatch(t *testing.T) {
 	}
 	if _, err := StitchTiles(geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, e*1.5, []*TilePatch{tp}); err == nil {
 		t.Fatal("stitching tiles at the wrong LOD must fail")
+	}
+}
+
+// BenchmarkStitchTiles stitches one multi-tile ROI from resident
+// patches: at grid level 2 the ROI covers 4 interior tiles, merged
+// wholesale, and 12 boundary tiles, clipped edge by edge — the router's
+// per-query work once its patch memo is warm.
+func BenchmarkStitchTiles(b *testing.B) {
+	ds, _ := buildDataset(b, 65, "highland")
+	s := newTestStore(b, ds)
+	r := geom.Rect{MinX: 0.1, MinY: 0.15, MaxX: 0.85, MaxY: 0.8}
+	e := eAtPercentile(ds, 0.8)
+	var tiles []*TilePatch
+	interior := 0
+	for _, tr := range tileCover(s, r, 2) {
+		tp, err := s.MaterializeTile(tr, e)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tiles = append(tiles, tp)
+		if r.ContainsRect(tr) {
+			interior++
+		}
+	}
+	if interior == 0 || interior == len(tiles) {
+		b.Fatalf("%d of %d tiles interior: want both kinds", interior, len(tiles))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := StitchTiles(r, e, tiles); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

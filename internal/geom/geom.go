@@ -10,6 +10,7 @@
 package geom
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 )
@@ -317,3 +318,24 @@ func (t Triangle) Canon() Triangle {
 
 // Degenerate reports whether two of t's vertex IDs coincide.
 func (t Triangle) Degenerate() bool { return t.A == t.B || t.B == t.C || t.A == t.C }
+
+// CompareTriangles orders triangles lexicographically by (A, B, C), for
+// slices.SortFunc.
+func CompareTriangles(t, u Triangle) int {
+	if c := cmp.Compare(t.A, u.A); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(t.B, u.B); c != 0 {
+		return c
+	}
+	return cmp.Compare(t.C, u.C)
+}
+
+// CompareEdges orders vertex-ID pairs lexicographically, for
+// slices.SortFunc.
+func CompareEdges(a, b [2]int64) int {
+	if c := cmp.Compare(a[0], b[0]); c != 0 {
+		return c
+	}
+	return cmp.Compare(a[1], b[1])
+}

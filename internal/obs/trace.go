@@ -53,11 +53,11 @@ const (
 	// PhaseMaterialize is a tile-cache materialization (one uniform
 	// query building a resident patch).
 	PhaseMaterialize
-	// PhaseStitch is the tile-cache patch stitch (bulk merge and
-	// boundary clip; no I/O).
+	// PhaseStitch is the tile-cache patch stitch (node clip and the
+	// interior and boundary tiles' edges; no I/O).
 	PhaseStitch
-	// PhaseSeam is the cross-tile seam resolution and corner sweep
-	// inside a stitch (no I/O).
+	// PhaseSeam is the cross-tile seam resolution, edge sort and clique
+	// listing inside a stitch (no I/O).
 	PhaseSeam
 	// PhaseCache is one tile-cache lookup (hit, miss, or deduped wait).
 	PhaseCache

@@ -51,7 +51,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"dmesh/internal/dm"
 	"dmesh/internal/geom"
@@ -161,25 +161,11 @@ func (s meshState) result() *dm.Result {
 	for e := range s.edges {
 		res.Edges = append(res.Edges, e)
 	}
-	sort.Slice(res.Edges, func(i, j int) bool {
-		if res.Edges[i][0] != res.Edges[j][0] {
-			return res.Edges[i][0] < res.Edges[j][0]
-		}
-		return res.Edges[i][1] < res.Edges[j][1]
-	})
+	slices.SortFunc(res.Edges, geom.CompareEdges)
 	for t := range s.tris {
 		res.Triangles = append(res.Triangles, t)
 	}
-	sort.Slice(res.Triangles, func(i, j int) bool {
-		a, b := res.Triangles[i], res.Triangles[j]
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		if a.B != b.B {
-			return a.B < b.B
-		}
-		return a.C < b.C
-	})
+	slices.SortFunc(res.Triangles, geom.CompareTriangles)
 	return res
 }
 
@@ -284,9 +270,8 @@ func encodeBatch(idx int, level float64, prev, next meshState) ([]byte, error) {
 		}
 		addVerts = append(addVerts, id)
 	}
-	sortIDs := func(ids []int64) { sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] }) }
-	sortIDs(remVerts)
-	sortIDs(addVerts)
+	slices.Sort(remVerts)
+	slices.Sort(addVerts)
 
 	var remEdges, addEdges [][2]int64
 	for e := range prev.edges {
@@ -299,16 +284,8 @@ func encodeBatch(idx int, level float64, prev, next meshState) ([]byte, error) {
 			addEdges = append(addEdges, e)
 		}
 	}
-	sortPairs := func(ps [][2]int64) {
-		sort.Slice(ps, func(i, j int) bool {
-			if ps[i][0] != ps[j][0] {
-				return ps[i][0] < ps[j][0]
-			}
-			return ps[i][1] < ps[j][1]
-		})
-	}
-	sortPairs(remEdges)
-	sortPairs(addEdges)
+	slices.SortFunc(remEdges, geom.CompareEdges)
+	slices.SortFunc(addEdges, geom.CompareEdges)
 
 	var remTris, addTris []geom.Triangle
 	for t := range prev.tris {
@@ -321,19 +298,8 @@ func encodeBatch(idx int, level float64, prev, next meshState) ([]byte, error) {
 			addTris = append(addTris, t)
 		}
 	}
-	sortTris := func(ts []geom.Triangle) {
-		sort.Slice(ts, func(i, j int) bool {
-			if ts[i].A != ts[j].A {
-				return ts[i].A < ts[j].A
-			}
-			if ts[i].B != ts[j].B {
-				return ts[i].B < ts[j].B
-			}
-			return ts[i].C < ts[j].C
-		})
-	}
-	sortTris(remTris)
-	sortTris(addTris)
+	slices.SortFunc(remTris, geom.CompareTriangles)
+	slices.SortFunc(addTris, geom.CompareTriangles)
 
 	buf := make([]byte, 0, 16+len(addVerts)*16+(len(remEdges)+len(addEdges))*4+(len(remTris)+len(addTris))*5)
 	buf = binary.AppendUvarint(buf, uint64(idx))
